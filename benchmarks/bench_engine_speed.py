@@ -20,6 +20,7 @@ from repro.interp.interpreter import Interpreter, split_at_loop
 from repro.machine.costmodel import fx80
 from repro.machine.schedule import ScheduleKind
 from repro.machine.simulator import DoallSimulator
+from repro.runtime.orchestrator import LoopRunner, RunConfig, Strategy
 from repro.runtime.serial import run_serial
 from repro.runtime.speculative import run_speculative
 from repro.workloads.bdna import build_bdna
@@ -394,3 +395,56 @@ def test_engine_speed_auto(benchmark, artifact):
     # Planning overhead is noise: within 25% of the explicit request
     # (the same tolerance the CI regression gate applies).
     assert overhead <= 1.25, f"auto planner overhead {overhead:.2f}x"
+
+
+def test_engine_speed_fresh_runner(benchmark, artifact):
+    """A fresh ``LoopRunner``'s first speculative run, end to end.
+
+    This is what every ``repro run`` pays: plan, loop-entry setup,
+    marked doall, LRPD analysis and commit.  The speedup denominator
+    comes from the doall's own iteration costs, so no serial reference
+    run is paid; it must still equal the tree walker's serial loop time
+    bit for bit.
+    """
+    workload = build_bdna(n=800)
+    program = parse(workload.source)
+    config = RunConfig(model=fx80().with_procs(PROCS), engine="vectorized")
+
+    def fresh_run():
+        runner = LoopRunner(program, workload.inputs)
+        return runner.run(Strategy.SPECULATIVE, config)
+
+    def measure():
+        calibration_s = calibrate()
+        return calibration_s, min_wall(fresh_run, rounds=5)
+
+    calibration_s, (wall, report) = run_once(benchmark, measure)
+    oracle = run_serial(program, workload.inputs, config.model, engine="walk")
+
+    write_bench_json(
+        "engine_speed",
+        calibration_s,
+        {"fresh_runner_speculative": wall},
+        merge=True,
+    )
+
+    artifact(
+        "engine_speed_fresh_runner",
+        "\n".join(
+            [
+                f"Fresh LoopRunner on BDNA n=800 "
+                f"(speculative, vectorized, p={PROCS}, best of 5)",
+                f"end to end       : {wall * 1000:8.1f} ms wall clock",
+                f"engine used      : {report.engine_used}",
+                f"LRPD passed      : {report.passed}",
+                f"serial loop time : {report.serial_loop_time:.1f} cycles "
+                f"(walk oracle {oracle.loop_time:.1f})",
+                f"simulated speedup: {report.speedup:.2f}",
+            ]
+        ),
+    )
+
+    assert report.passed
+    assert report.engine_used == "vectorized"
+    # The derived denominator is the serial oracle's, bit for bit.
+    assert report.serial_loop_time == oracle.loop_time

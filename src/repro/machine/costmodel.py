@@ -55,13 +55,21 @@ class CostModel:
 
     def iteration_cycles(self, cost: IterationCost) -> float:
         """Cycles for one loop iteration's operation counts."""
+        return self.unmarked_cycles(cost) + cost.marks * self.mark
+
+    def unmarked_cycles(self, cost: IterationCost) -> float:
+        """Cycles of one iteration's operations without its shadow
+        marking: what the same iteration costs in the serial loop.
+
+        Bit-identical to ``iteration_cycles(cost.without_marks())``: the
+        marking term is added last, and adding ``0.0`` is exact.
+        """
         return (
             cost.flops * self.flop
             + (cost.mem_reads + cost.mem_writes) * self.mem_access
             + cost.scalar_ops * self.scalar_op
             + cost.intrinsics * self.intrinsic
             + cost.branches * self.branch
-            + cost.marks * self.mark
         )
 
     def barrier(self, p: int) -> float:

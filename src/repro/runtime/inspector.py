@@ -35,7 +35,11 @@ from repro.machine.schedule import ScheduleKind, assign_iterations
 from repro.machine.simulator import DoallSimulator
 from repro.machine.stats import TimeBreakdown
 from repro.runtime.doall import finalize_doall, run_doall
-from repro.runtime.serial import loop_iteration_values, rerun_loop_serially
+from repro.runtime.serial import (
+    loop_iteration_values,
+    rerun_loop_serially,
+    serial_loop_cycles,
+)
 
 
 class InspectorScratchMemory:
@@ -134,6 +138,9 @@ class InspectorOutcome:
     engine_used: str | None = None
     #: the ``auto`` planner's rationale for the executor phase.
     engine_decision: str | None = None
+    #: simulated cycles of the loop run serially: the executor doall's
+    #: own iteration costs on a pass, the serial loop's on a fail.
+    serial_cycles: float = 0.0
 
 
 def run_inspector_phase(
@@ -254,12 +261,14 @@ def run_inspector_executor(
         times.copy_out = sim.copy_out_time(finalize.copied_out)
         stats["copied_out"] = float(finalize.copied_out)
         stats["reduction_merged"] = float(finalize.reduction_merged)
+        serial_cycles = serial_loop_cycles(sim.model, run.iteration_costs)
     else:
         serial_interp = Interpreter(program, env, value_based=False)
-        serial_time, _ = rerun_loop_serially(serial_interp, loop, sim.model)
-        times.serial_rerun = serial_time
+        serial_cycles, _ = rerun_loop_serially(serial_interp, loop, sim.model)
+        times.serial_rerun = serial_cycles
 
     return InspectorOutcome(result=result, times=times, stats=stats,
                             fallback_reason=fallback_reason,
                             engine_used=engine_used,
-                            engine_decision=engine_decision)
+                            engine_decision=engine_decision,
+                            serial_cycles=serial_cycles)

@@ -1,9 +1,18 @@
 """The strategy orchestrator: the user-facing entry point of the runtime.
 
-:class:`LoopRunner` compiles a program once (instrumentation plan +
-serial reference run) and then executes the target loop under any
-strategy and machine configuration, producing comparable
-:class:`ExecutionReport` records.
+:class:`LoopRunner` compiles a program once (its instrumentation plan)
+and then executes the target loop under any strategy and machine
+configuration, producing comparable :class:`ExecutionReport` records.
+
+A report's ``serial_loop_time`` (the speedup denominator) comes from the
+run that actually happened, never from a second, serial execution: a
+passing doall prices its own iteration costs with the marking removed,
+a rollback or refusal reports the time of its own serial re-run, a
+DOACROSS recovery its serial equivalent, and a strip-mined run the sum
+of those strip by strip; schedule reuse memoizes it beside the reuse
+times.  :meth:`LoopRunner.serial_run` remains the independent serial
+oracle, used by :attr:`Strategy.SERIAL`, the evaluation tables and the
+tests.
 
 Everything the runner remembers across invocations lives in one
 :class:`~repro.runtime.profile.LoopProfileStore`: cached LRPD verdicts
@@ -41,7 +50,11 @@ from repro.runtime.profile import (
     pattern_signature,
 )
 from repro.runtime.results import ExecutionReport, SerialRun
-from repro.runtime.serial import rerun_loop_serially, run_serial
+from repro.runtime.serial import (
+    rerun_loop_serially,
+    run_serial,
+    serial_loop_cycles,
+)
 from repro.runtime.speculative import (
     FixedStripSizer,
     SpeculationPipeline,
@@ -158,18 +171,23 @@ class LoopRunner:
         #: shadow marker recycled across speculative attempts (reset in
         #: place instead of reallocating the shadow buffers every run).
         self._spec_marker = None
-        #: memoized simulated times of passed schedule-reuse runs, keyed
-        #: by (signature, machine, procs, schedule, engine, workers,
-        #: backend).  A reuse run's times are a pure function of that key
-        #: — the signature pins the access pattern, everything else pins
-        #: the machine and schedule — so repeat reuse runs skip the
-        #: per-iteration cost accounting and makespan simulation.
-        self._reuse_times: dict[tuple, dict] = {}
+        #: memoized simulated times and serial loop cycles of passed
+        #: schedule-reuse runs, keyed by (signature, machine, procs,
+        #: schedule, engine, workers, backend).  A reuse run's times are a
+        #: pure function of that key — the signature pins the access
+        #: pattern, everything else pins the machine and schedule — so
+        #: repeat reuse runs skip the per-iteration cost accounting and
+        #: makespan simulation.
+        self._reuse_times: dict[tuple, tuple[dict, float]] = {}
 
     # -- reference -----------------------------------------------------------
 
     def serial_run(self, model: CostModel, engine: str = "compiled") -> SerialRun:
-        """The serial reference execution (cached per machine and engine).
+        """The serial oracle execution (cached per machine and engine).
+
+        Only :attr:`Strategy.SERIAL` and outside callers (evaluation,
+        tests) use it; the speculative strategies take their speedup
+        denominator from their own run.
 
         ``engine`` honors :attr:`RunConfig.engine`; the serial-capable
         engines are property-tested to be state- and count-identical, so
@@ -260,12 +278,12 @@ class LoopRunner:
             test_result=None,
             times=times,
             serial_loop_time=reference.loop_time,
-            env=reference.env,
+            env=reference.env.copy(),
         )
 
     def _refuse_serially(
         self, env: Environment, sim: DoallSimulator, config: RunConfig,
-        reference: SerialRun, *, reason: str | None = None,
+        *, reason: str | None = None,
     ) -> ExecutionReport:
         """Run serially without attempting any doall: either a
         loop-carried scalar statically blocks speculation, or (with a
@@ -281,7 +299,7 @@ class LoopRunner:
             passed=None,
             test_result=None,
             times=TimeBreakdown(serial_rerun=serial_time),
-            serial_loop_time=reference.loop_time,
+            serial_loop_time=serial_time,
             env=env,
             stats={"refused": 1.0},
             engine_decisions=self._decisions(reason),
@@ -365,10 +383,9 @@ class LoopRunner:
     ) -> ExecutionReport:
         sim = DoallSimulator(config.model, config.schedule)
         env, _setup = self._env_at_loop_entry(config.model)
-        reference = self.serial_run(config.model, config.engine)
 
         if not self.plan.parallelizable_scalars:
-            return self._refuse_serially(env, sim, config, reference)
+            return self._refuse_serially(env, sim, config)
 
         extra_decisions: list[str | None] = []
         if not recovery:
@@ -379,9 +396,7 @@ class LoopRunner:
         if veto is not None:
             rescue = self._recovery_rescue(config)
             if rescue is None:
-                return self._refuse_serially(
-                    env, sim, config, reference, reason=veto
-                )
+                return self._refuse_serially(env, sim, config, reason=veto)
             # The failure history says stop, but the recovery history
             # says the failures themselves pipeline well: speculate
             # anyway with recovery armed, recording both verdicts.
@@ -389,7 +404,6 @@ class LoopRunner:
             extra_decisions.extend([veto, rescue])
 
         pool = self._shared_pool(config, sim, env)
-        reused = False
         signature = None
         signature_s = 0.0
         if config.use_schedule_cache:
@@ -401,7 +415,7 @@ class LoopRunner:
             cached = self.profiles.lookup_verdict(self._loop_key(), signature)
             if cached is not None:
                 report = self._run_from_cached(
-                    env, cached, sim, config, reference,
+                    env, cached, sim, config,
                     signature=signature, signature_s=signature_s, pool=pool,
                 )
                 self._finish(env)
@@ -440,9 +454,8 @@ class LoopRunner:
             passed=outcome.result.passed,
             test_result=outcome.result,
             times=outcome.times,
-            serial_loop_time=reference.loop_time,
+            serial_loop_time=outcome.serial_cycles,
             env=env,
-            reused_schedule=reused,
             stats=outcome.stats,
             wall=outcome.wall,
             fallbacks=self._fallbacks(outcome.run.fallback_reason),
@@ -487,10 +500,9 @@ class LoopRunner:
             return self._run_speculative(config, recovery=recovery)
         sim = DoallSimulator(config.model, config.schedule)
         env, _setup = self._env_at_loop_entry(config.model)
-        reference = self.serial_run(config.model, config.engine)
 
         if not self.plan.parallelizable_scalars:
-            return self._refuse_serially(env, sim, config, reference)
+            return self._refuse_serially(env, sim, config)
 
         extra_decisions: list[str | None] = []
         if not recovery:
@@ -501,9 +513,7 @@ class LoopRunner:
         if veto is not None:
             rescue = self._recovery_rescue(config)
             if rescue is None:
-                return self._refuse_serially(
-                    env, sim, config, reference, reason=veto
-                )
+                return self._refuse_serially(env, sim, config, reason=veto)
             recovery = True
             extra_decisions.extend([veto, rescue])
 
@@ -574,7 +584,7 @@ class LoopRunner:
             passed=outcome.result.passed,
             test_result=outcome.result,
             times=outcome.times,
-            serial_loop_time=reference.loop_time,
+            serial_loop_time=outcome.serial_cycles,
             env=env,
             stats=outcome.stats,
             strips=outcome.strips,
@@ -599,7 +609,6 @@ class LoopRunner:
         cached,
         sim: DoallSimulator,
         config: RunConfig,
-        reference: SerialRun,
         *,
         signature=None,
         signature_s: float = 0.0,
@@ -614,7 +623,8 @@ class LoopRunner:
         take the fastest executor (classifier rejects fall back down the
         registry chain as usual).  Worker-sharding requests with a live
         pool keep their engine: the persistent pool IS their fast path.
-        Simulated times of repeat reuse runs come from
+        Simulated times of repeat reuse runs — and the serial loop time,
+        priced from the same iteration costs — come from
         :attr:`_reuse_times` instead of being re-derived per run.
         """
         times = TimeBreakdown()
@@ -647,6 +657,7 @@ class LoopRunner:
             wall.doall = time.perf_counter() - tick
             finalize = finalize_doall(run, env, self.plan, self.loop)
             if memo is None:
+                serial_cycles = serial_loop_cycles(config.model, run.iteration_costs)
                 times.private_init = sim.private_init_time(
                     sum(p.size for p in run.privates.values())
                 )
@@ -664,9 +675,10 @@ class LoopRunner:
                 )
                 times.copy_out = sim.copy_out_time(finalize.copied_out)
                 if signature is not None:
-                    self._reuse_times[memo_key] = times.as_dict()
+                    self._reuse_times[memo_key] = (times.as_dict(), serial_cycles)
             else:
-                times = TimeBreakdown(**memo)
+                memo_times, serial_cycles = memo
+                times = TimeBreakdown(**memo_times)
             fallback_reason = run.fallback_reason
             engine_used = run.engine_used
             engine_decision = run.engine_decision
@@ -679,8 +691,10 @@ class LoopRunner:
                 )
         else:
             serial_interp = Interpreter(self.program, env, value_based=False)
-            serial_time, _ = rerun_loop_serially(serial_interp, self.loop, config.model)
-            times.serial_rerun = serial_time
+            serial_cycles, _ = rerun_loop_serially(
+                serial_interp, self.loop, config.model
+            )
+            times.serial_rerun = serial_cycles
         return ExecutionReport(
             strategy=Strategy.SPECULATIVE.value,
             machine=config.model.name,
@@ -688,7 +702,7 @@ class LoopRunner:
             passed=cached.passed,
             test_result=cached,
             times=times,
-            serial_loop_time=reference.loop_time,
+            serial_loop_time=serial_cycles,
             env=env,
             reused_schedule=True,
             wall=wall,
@@ -700,7 +714,6 @@ class LoopRunner:
     def _run_inspector(self, config: RunConfig) -> ExecutionReport:
         sim = DoallSimulator(config.model, config.schedule)
         env, _setup = self._env_at_loop_entry(config.model)
-        reference = self.serial_run(config.model, config.engine)
         outcome = run_inspector_executor(
             self.program,
             self.loop,
@@ -726,7 +739,7 @@ class LoopRunner:
             passed=outcome.result.passed,
             test_result=outcome.result,
             times=outcome.times,
-            serial_loop_time=reference.loop_time,
+            serial_loop_time=outcome.serial_cycles,
             env=env,
             stats=outcome.stats,
             fallbacks=self._fallbacks(outcome.fallback_reason),

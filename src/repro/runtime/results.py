@@ -12,7 +12,7 @@ from repro.machine.stats import StripRecord, TimeBreakdown, WallClock
 
 @dataclass
 class SerialRun:
-    """A serial reference execution of a whole program."""
+    """A serial oracle execution of a whole program."""
 
     env: Environment
     loop_iteration_costs: list[IterationCost]

@@ -1,8 +1,11 @@
-"""Serial reference execution.
+"""Serial execution.
 
-Provides the sequential oracle (for correctness checks), the serial loop
-time used as the speedup denominator, and the serial re-execution after a
-failed speculation.
+Provides the sequential oracle (:func:`run_serial`, for correctness
+checks and the SERIAL strategy), the serial re-execution after a failed
+speculation, and :func:`serial_loop_cycles`.  The speculative strategies
+take the speedup denominator from the run that happened: the serial
+re-execution's time after a rollback, else the doall's own iteration
+costs priced without marking — never from a separate oracle run.
 """
 
 from __future__ import annotations
@@ -56,6 +59,18 @@ def run_serial(
     run = executor.execute_serial(program, env, model, loop, before, after)
     run.engine_substitution = substitution
     return run
+
+
+def serial_loop_cycles(
+    model: CostModel, iteration_costs: list[IterationCost]
+) -> float:
+    """Simulated serial cycles of a doall's iterations.
+
+    The per-iteration operation counts a doall records are those of the
+    serial loop plus the shadow marking, so pricing them with the marks
+    removed gives the serial loop time without running the loop again.
+    """
+    return sum(model.unmarked_cycles(c) for c in iteration_costs)
 
 
 def rerun_values_serially(

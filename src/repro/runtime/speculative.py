@@ -44,6 +44,7 @@ from repro.runtime.serial import (
     loop_iteration_values,
     rerun_loop_serially,
     rerun_values_serially,
+    serial_loop_cycles,
 )
 
 
@@ -61,6 +62,10 @@ class SpeculativeOutcome:
     #: the DOACROSS recovery tier's go/veto rationale (None when the run
     #: passed or recovery was not requested).
     recovery_decision: str | None = None
+    #: simulated cycles of the loop run serially (the speedup
+    #: denominator), taken from this run: the doall's own iteration
+    #: costs on a pass, the serial re-execution on a fail.
+    serial_cycles: float = 0.0
 
 
 def _plan_recovery(marker: ShadowMarker, run: DoallRun, granularity: Granularity):
@@ -212,6 +217,7 @@ def run_speculative(
         times.copy_out = sim.copy_out_time(finalize.copied_out)
         stats["reduction_merged"] = float(finalize.reduction_merged)
         stats["copied_out"] = float(finalize.copied_out)
+        serial_cycles = serial_loop_cycles(sim.model, run.iteration_costs)
     else:
         recovery_decision = None
         rec_engine = None
@@ -231,6 +237,7 @@ def run_speculative(
                 program, loop, env, run.values, step, sim, distance=distance
             )
             times.doacross = rec.time.total
+            serial_cycles = rec.serial_equivalent
             stats["recovered_iterations"] = float(rec.iterations)
             stats["recovery_distance"] = float(distance)
             stats["recovery_sync_waits"] = float(rec.time.sync_waits)
@@ -238,20 +245,21 @@ def run_speculative(
             stats["recovered_fraction"] = rec.recovered_fraction
         else:
             serial_interp = Interpreter(program, env, value_based=False)
-            serial_time, _costs = rerun_loop_serially(
+            serial_cycles, _costs = rerun_loop_serially(
                 serial_interp, loop, sim.model
             )
-            times.serial_rerun = serial_time
+            times.serial_rerun = serial_cycles
             if recovery:
                 stats["recovered_fraction"] = 0.0
         wall.rollback = time.perf_counter() - tick
         return SpeculativeOutcome(
             result=result, times=times, run=run, stats=stats, wall=wall,
-            recovery_decision=recovery_decision,
+            recovery_decision=recovery_decision, serial_cycles=serial_cycles,
         )
 
     return SpeculativeOutcome(
-        result=result, times=times, run=run, stats=stats, wall=wall
+        result=result, times=times, run=run, stats=stats, wall=wall,
+        serial_cycles=serial_cycles,
     )
 
 
@@ -303,6 +311,9 @@ class PipelineOutcome:
     #: first recorded DOACROSS recovery go/veto rationale across the
     #: failed strips (None when no strip failed or recovery was off).
     recovery_decision: str | None = None
+    #: simulated cycles of the loop run serially, summed strip by strip
+    #: as in :attr:`SpeculativeOutcome.serial_cycles`.
+    serial_cycles: float = 0.0
 
 
 class SpeculationPipeline:
@@ -509,6 +520,7 @@ class SpeculationPipeline:
         #: both, pulling the fraction toward zero).
         recovery_cycles = 0.0
         serial_equiv = 0.0
+        serial_cycles = 0.0
         pos = 0
         while pos < len(values):
             size = max(1, int(self.sizer.next_size()))
@@ -592,6 +604,7 @@ class SpeculationPipeline:
                 times.copy_out = sim.copy_out_time(finalize.copied_out)
                 stats["reduction_merged"] += float(finalize.reduction_merged)
                 stats["copied_out"] += float(finalize.copied_out)
+                serial_cycles += serial_loop_cycles(sim.model, run.iteration_costs)
             else:
                 rec_engine = None
                 distance = None
@@ -613,6 +626,7 @@ class SpeculationPipeline:
                     strip_recovered = True
                     recovery_cycles += rec.time.total
                     serial_equiv += rec.serial_equivalent
+                    serial_cycles += rec.serial_equivalent
                     stats["recovered_iterations"] = (
                         stats.get("recovered_iterations", 0.0)
                         + float(rec.iterations)
@@ -637,6 +651,7 @@ class SpeculationPipeline:
                         serial_interp, self.loop, strip_values, step, sim.model
                     )
                     times.serial_rerun = serial_time
+                    serial_cycles += serial_time
                     stats["serial_iterations"] += float(len(strip_values))
                     if self.recovery:
                         recovery_cycles += serial_time
@@ -689,4 +704,5 @@ class SpeculationPipeline:
             engine_used=engine_used,
             engine_decision=engine_decision,
             recovery_decision=recovery_decision,
+            serial_cycles=serial_cycles,
         )

@@ -7,7 +7,7 @@ Architecture (one process, three layers):
   :class:`~repro.runtime.parallel_backend.WorkerPoolCache` serve every
   request; per-workload :class:`~repro.runtime.orchestrator.LoopRunner`
   instances persist across requests, so a repeated loop reuses its
-  compiled plan, serial reference, shadow marker, cached LRPD verdict
+  compiled plan, shadow marker, cached LRPD verdict
   (schedule reuse — the whole test is skipped) and forked worker pools.
 * :class:`~repro.service.batching.JobQueue` — bounded intake with
   in-flight coalescing of identical (loop, configuration) jobs.

@@ -23,6 +23,16 @@ class TestIterationCycles:
     def test_empty_iteration_is_free(self):
         assert CostModel().iteration_cycles(IterationCost()) == 0.0
 
+    def test_unmarked_cycles_drop_only_the_marking(self):
+        model = fx80()
+        cost = IterationCost(
+            flops=3, mem_reads=7, mem_writes=1, scalar_ops=5,
+            intrinsics=1, branches=2, marks=5,
+        )
+        unmarked = model.unmarked_cycles(cost)
+        assert unmarked == model.iteration_cycles(cost.without_marks())
+        assert model.iteration_cycles(cost) == unmarked + 5 * model.mark
+
 
 class TestPhases:
     def test_barrier_grows_with_procs(self):

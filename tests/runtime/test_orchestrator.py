@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.dsl.parser import parse
 from repro.machine.costmodel import CostModel
-from repro.runtime.orchestrator import RunConfig, Strategy
+from repro.runtime.adaptive import AdaptiveRunner
+from repro.runtime.orchestrator import LoopRunner, RunConfig, Strategy
+from repro.runtime.serial import run_serial
+from repro.workloads.bdna import build_bdna
 
 from tests.conftest import assert_env_matches, make_runner
 
@@ -119,3 +123,56 @@ class TestSerialRunCaching:
         first = runner.serial_run(model)
         second = runner.serial_run(model)
         assert first is second
+
+
+class TestSerialReportIsolation:
+    def test_serial_reports_do_not_alias_the_cached_oracle(self):
+        workload = build_bdna(n=100)
+        runner = LoopRunner(parse(workload.source), workload.inputs)
+        cfg = config()
+        first = runner.run(Strategy.SERIAL, cfg)
+        second = runner.run(Strategy.SERIAL, cfg)
+        assert first.env is not second.env
+        name = next(iter(second.env.arrays))
+        expected = second.env.arrays[name].copy()
+        # A caller editing one report must not reach any other.
+        first.env.arrays[name][...] = -1
+        np.testing.assert_array_equal(second.env.arrays[name], expected)
+        np.testing.assert_array_equal(
+            runner.serial_run(cfg.model, cfg.engine).env.arrays[name], expected
+        )
+        third = runner.run(Strategy.SERIAL, cfg)
+        np.testing.assert_array_equal(third.env.arrays[name], expected)
+
+
+class TestSerialTimeAfterInputChange:
+    """The speedup denominator follows the inputs of the run it reports."""
+
+    @staticmethod
+    def _oracle(runner, model):
+        return run_serial(
+            runner.program, runner.inputs, model, loop=runner.loop,
+            engine="walk",
+        ).loop_time
+
+    def test_raw_runner_inputs_replaced_between_runs(self):
+        runner = make_runner(PERMUTED, dict(PERMUTED_INPUTS))
+        cfg = config()
+        first = runner.run(Strategy.SPECULATIVE, cfg)
+        assert first.serial_loop_time == self._oracle(runner, cfg.model)
+        runner.inputs["n"] = 5
+        second = runner.run(Strategy.SPECULATIVE, cfg)
+        assert second.serial_loop_time == self._oracle(runner, cfg.model)
+        assert second.serial_loop_time < first.serial_loop_time
+
+    def test_adaptive_runner_set_input(self):
+        cfg = config()
+        adaptive = AdaptiveRunner(
+            parse(PERMUTED), dict(PERMUTED_INPUTS), config=cfg
+        )
+        first = adaptive.invoke()
+        adaptive.set_input("n", 5)
+        second = adaptive.invoke()
+        assert second.strategy == Strategy.SPECULATIVE.value
+        assert second.serial_loop_time == self._oracle(adaptive._runner, cfg.model)
+        assert second.serial_loop_time < first.serial_loop_time
