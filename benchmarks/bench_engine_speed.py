@@ -24,6 +24,7 @@ from repro.runtime.orchestrator import LoopRunner, RunConfig, Strategy
 from repro.runtime.serial import run_serial
 from repro.runtime.speculative import run_speculative
 from repro.workloads.bdna import build_bdna
+from repro.workloads.synthetic import build_synthdoacross
 
 ROUNDS = 3
 PROCS = 8
@@ -448,3 +449,61 @@ def test_engine_speed_fresh_runner(benchmark, artifact):
     assert report.engine_used == "vectorized"
     # The derived denominator is the serial oracle's, bit for bit.
     assert report.serial_loop_time == oracle.loop_time
+
+
+def test_engine_speed_rollback(benchmark, artifact):
+    """A fresh ``LoopRunner``'s speculative run that fails and rolls back.
+
+    SYNTH_DOACROSS carries a flow dependence on every chain, so the LRPD
+    test fails and the run pays checkpoint, marked doall, analysis,
+    restore and the serial re-execution — the failure path the paper
+    prices as serial time plus a bounded overhead.  The re-executed
+    state and the serial loop time must equal the tree walker's, bit for
+    bit.
+    """
+    workload = build_synthdoacross(400)
+    program = parse(workload.source)
+    config = RunConfig(model=fx80().with_procs(PROCS), engine="vectorized")
+
+    def fresh_run():
+        runner = LoopRunner(program, workload.inputs)
+        return runner.run(Strategy.SPECULATIVE, config)
+
+    def measure():
+        calibration_s = calibrate()
+        return calibration_s, min_wall(fresh_run, rounds=5)
+
+    calibration_s, (wall, report) = run_once(benchmark, measure)
+    oracle = run_serial(program, workload.inputs, config.model, engine="walk")
+
+    write_bench_json(
+        "engine_speed",
+        calibration_s,
+        {"rollback_speculative": wall},
+        merge=True,
+    )
+
+    artifact(
+        "engine_speed_rollback",
+        "\n".join(
+            [
+                f"Fresh LoopRunner on SYNTH_DOACROSS n=400 "
+                f"(speculative, vectorized, p={PROCS}, best of 5)",
+                f"end to end       : {wall * 1000:8.1f} ms wall clock",
+                f"LRPD passed      : {report.passed}",
+                f"serial re-run    : {report.times.serial_rerun:.1f} cycles "
+                f"(walk oracle {oracle.loop_time:.1f})",
+                f"simulated speedup: {report.speedup:.2f}",
+            ]
+        ),
+    )
+
+    assert report.passed is False
+    assert report.times.serial_rerun == oracle.loop_time
+    assert report.serial_loop_time == oracle.loop_time
+    assert {k: repr(v) for k, v in report.env.scalars.items()} == {
+        k: repr(v) for k, v in oracle.env.scalars.items()
+    }
+    assert report.env.arrays.keys() == oracle.env.arrays.keys()
+    for name, expected in oracle.env.arrays.items():
+        assert report.env.arrays[name].tobytes() == expected.tobytes(), name

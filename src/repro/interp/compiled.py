@@ -2,17 +2,21 @@
 
 The tree-walking interpreter (:mod:`repro.interp.interpreter`) pays
 dynamic dispatch on every AST node.  For the *serial* executions the
-framework performs constantly — the reference oracle, the serial
-re-execution after a failed speculation, trace extraction — this module
-compiles a program once into nested Python closures: each expression
-becomes a function ``rt -> value``, each statement a function
-``rt -> None``, composed bottom-up.
+framework performs constantly — the reference oracle, every serial
+re-execution after a failed speculation
+(:func:`repro.runtime.serial.rerun_serially`: whole-loop and strip
+rollback, DOACROSS recovery, refusals, the inspector's fail branch,
+schedule reuse of a failed verdict) and ``LoopRunner``'s loop-entry and
+post-loop blocks — this module compiles a program once into nested
+Python closures: each expression becomes a function ``rt -> value``,
+each statement a function ``rt -> None``, composed bottom-up.
 
 Semantics and *operation counting* are bit-identical to the tree walker
 (including short-circuit ``and``/``or`` counting only the evaluated
 side), which the equivalence property tests enforce.  The engine is
-serial-only: no memory routing, no observers, no taint tracking — the
-speculative paths keep the instrumented tree walker.
+serial-only: no memory routing, no observers, no taint tracking — marked
+doalls run on the speculative engines (:mod:`repro.interp.compiled_spec`
+and friends).
 """
 
 from __future__ import annotations
@@ -98,6 +102,21 @@ class CompiledProgram:
             if fn is None:
                 raise InterpError("statement was not compiled with this program")
             fn(rt)
+
+    def loop_bounds(self, loop: Do, env: Environment) -> tuple[int, int, int]:
+        """The loop's (start, stop, step) in ``env``, as
+        :meth:`Interpreter.eval_loop_bounds` (counts are discarded)."""
+        entry = self._loops.get(id(loop))
+        if entry is None:
+            raise InterpError("loop was not compiled as part of this program")
+        _body, start_fn, stop_fn, step_fn, _var = entry
+        rt = _Runtime(env, CostCounter())
+        start = int(start_fn(rt))
+        stop = int(stop_fn(rt))
+        step = 1 if step_fn is None else int(step_fn(rt))
+        if step == 0:
+            raise InterpError("do loop with zero step")
+        return start, stop, step
 
     def run_loop(
         self,

@@ -666,7 +666,9 @@ class _BlockExecutor:
                 return {"+": np.add, "-": np.subtract, "*": np.multiply}[op](a, b)
             fa = a.astype(np.float64) if left.kind == "integer" else a
             fb = b.astype(np.float64) if right.kind == "integer" else b
-            return {"+": np.add, "-": np.subtract, "*": np.multiply}[op](fa, fb)
+            # Python floats overflow to inf/nan silently; so do these.
+            with np.errstate(over="ignore", invalid="ignore"):
+                return {"+": np.add, "-": np.subtract, "*": np.multiply}[op](fa, fb)
         if op == "/":
             if both_int:
                 if np.any(b[mask] == 0):
@@ -676,7 +678,8 @@ class _BlockExecutor:
             fb = b.astype(np.float64) if right.kind == "integer" else b
             if np.any(fb[mask] == 0.0):
                 self._bail("division by zero in the block")
-            return fa / np.where(fb == 0.0, 1.0, fb)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return fa / np.where(fb == 0.0, 1.0, fb)
         self._bail(f"operator {op!r} not vectorizable")
 
     def _int_div(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

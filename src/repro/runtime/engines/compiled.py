@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from repro.interp.compiled_spec import CompiledSpecLoop
 from repro.interp.costs import CostCounter
-from repro.interp.interpreter import Interpreter
 from repro.machine.costmodel import CostModel
 from repro.runtime.engines.base import DoallContext, EngineCaps
 from repro.runtime.engines.emulated import EmulatedEngine, EmulationState
 from repro.runtime.engines.registry import registry
 from repro.runtime.results import SerialRun
-from repro.runtime.serial import loop_iteration_values
+from repro.runtime.serial import rerun_serially
 
 
 class CompiledEngine(EmulatedEngine):
@@ -62,28 +61,19 @@ class CompiledEngine(EmulatedEngine):
         compiled.run_statements(before, env, setup_cost)
         setup_time = model.iteration_cycles(setup_cost.total())
 
-        bounds_interp = Interpreter(program, env, value_based=False)
-        start, stop, step = bounds_interp.eval_loop_bounds(loop)
-        # Bound evaluation is re-done by the walker for simplicity; undo
-        # its count contribution by using a throwaway counter (already
-        # the case: the walker gets a fresh default counter here).
-        values = loop_iteration_values(start, stop, step)
-        loop_cost = CostCounter()
-        compiled.run_loop(loop, env, loop_cost, values)
-        env.set_scalar(loop.var, (values[-1] + step) if values else start)
+        loop_time, iteration_costs = rerun_serially(program, loop, env, model)
 
         teardown_cost = CostCounter()
         compiled.run_statements(after, env, teardown_cost)
         teardown_time = model.iteration_cycles(teardown_cost.total())
 
-        iteration_costs = list(loop_cost.iteration_costs)
         return SerialRun(
             env=env,
             loop_iteration_costs=iteration_costs,
-            loop_time=sum(model.iteration_cycles(c) for c in iteration_costs),
+            loop_time=loop_time,
             setup_time=setup_time,
             teardown_time=teardown_time,
-            num_iterations=len(values),
+            num_iterations=len(iteration_costs),
             engine=self.name,
         )
 

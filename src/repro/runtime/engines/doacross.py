@@ -27,11 +27,10 @@ from typing import TYPE_CHECKING
 
 from repro.analysis.dependence import DistanceReport
 from repro.core.shadow import Granularity
-from repro.interp.interpreter import Interpreter
 from repro.machine.simulator import DoacrossRecoveryTime
 from repro.runtime.engines.base import DoallContext, EngineCaps, EngineFallback, ExecutionEngine
 from repro.runtime.engines.registry import registry
-from repro.runtime.serial import rerun_values_serially
+from repro.runtime.serial import rerun_serially
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dsl.ast_nodes import Do, Program
@@ -127,30 +126,32 @@ class DoacrossEngine(ExecutionEngine):
         program: "Program",
         loop: "Do",
         env: "Environment",
-        values: list[int],
-        step: int,
         sim: "DoallSimulator",
         *,
         distance: int,
+        values: list[int] | None = None,
+        step: int = 1,
     ) -> RecoveryRun:
-        """Re-execute ``values`` in place, priced as a pipelined DOACROSS.
+        """Re-execute the failed region in place, priced as a pipelined
+        DOACROSS.
 
-        The iterations run serially in serial order — identical state
-        effects to the rollback path's
-        :func:`~repro.runtime.serial.rerun_values_serially`, which is
-        what makes bit-identity unconditional — while the recorded cost
-        is the chunked post/wait makespan over the measured per-iteration
-        cycles (the emulate-then-price architecture every strategy uses).
+        The region is the whole loop (``values`` None, bounds evaluated
+        from the restored ``env``) or one strip's ``values``.  Its
+        iterations run serially in serial order through the rollback
+        path's own :func:`~repro.runtime.serial.rerun_serially` — which
+        is what makes bit-identity unconditional — while the recorded
+        cost is the chunked post/wait makespan over the measured
+        per-iteration cycles (the emulate-then-price architecture every
+        strategy uses).
         """
-        serial_interp = Interpreter(program, env, value_based=False)
-        serial_time, costs = rerun_values_serially(
-            serial_interp, loop, values, step, sim.model
+        serial_time, costs = rerun_serially(
+            program, loop, env, sim.model, values, step
         )
         priced = sim.doacross_time(costs, distance=distance)
         return RecoveryRun(
             time=priced,
             serial_equivalent=serial_time,
-            iterations=len(values),
+            iterations=len(costs),
             distance=distance,
         )
 

@@ -37,7 +37,7 @@ from repro.machine.stats import TimeBreakdown
 from repro.runtime.doall import finalize_doall, run_doall
 from repro.runtime.serial import (
     loop_iteration_values,
-    rerun_loop_serially,
+    rerun_serially,
     serial_loop_cycles,
 )
 
@@ -263,8 +263,7 @@ def run_inspector_executor(
         stats["reduction_merged"] = float(finalize.reduction_merged)
         serial_cycles = serial_loop_cycles(sim.model, run.iteration_costs)
     else:
-        serial_interp = Interpreter(program, env, value_based=False)
-        serial_cycles, _ = rerun_loop_serially(serial_interp, loop, sim.model)
+        serial_cycles, _ = rerun_serially(program, loop, env, sim.model)
         times.serial_rerun = serial_cycles
 
     return InspectorOutcome(result=result, times=times, stats=stats,

@@ -34,9 +34,10 @@ from repro.core.outcomes import TestMode
 from repro.core.shadow import Granularity
 from repro.dsl.ast_nodes import Program
 from repro.errors import SpeculationError
+from repro.interp.compiled import compile_program
 from repro.interp.costs import CostCounter
 from repro.interp.env import Environment
-from repro.interp.interpreter import Interpreter, split_at_loop
+from repro.interp.interpreter import split_at_loop
 from repro.machine.costmodel import CostModel, fx80
 from repro.machine.schedule import ScheduleKind
 from repro.machine.simulator import DoallSimulator
@@ -155,6 +156,8 @@ class LoopRunner:
         self.plan: InstrumentationPlan = build_plan(program, trip_count=trip_count)
         self.loop = self.plan.loop
         self._before, self._after = split_at_loop(program, self.loop)
+        #: the program on closures, for the statements around the loop.
+        self._compiled = compile_program(program)
         #: the runner's cross-invocation memory; pass a shared (possibly
         #: persistent) store to carry verdicts and planner feedback
         #: across runners and processes.
@@ -259,13 +262,11 @@ class LoopRunner:
     def _env_at_loop_entry(self, model: CostModel) -> tuple[Environment, float]:
         env = Environment(self.program, self.inputs)
         cost = CostCounter()
-        interp = Interpreter(self.program, env, cost=cost, value_based=False)
-        interp.exec_block(self._before)
+        self._compiled.run_statements(self._before, env, cost)
         return env, model.iteration_cycles(cost.total())
 
     def _finish(self, env: Environment) -> None:
-        interp = Interpreter(self.program, env, value_based=False)
-        interp.exec_block(self._after)
+        self._compiled.run_statements(self._after, env, CostCounter())
 
     def _run_serial(self, config: RunConfig) -> ExecutionReport:
         reference = self.serial_run(config.model, config.engine)
@@ -289,8 +290,9 @@ class LoopRunner:
         loop-carried scalar statically blocks speculation, or (with a
         planner engine and ``reason`` set) the loop's recorded failure
         history vetoes another attempt."""
-        serial_interp = Interpreter(self.program, env, value_based=False)
-        serial_time, _ = rerun_loop_serially(serial_interp, self.loop, config.model)
+        serial_time, _ = rerun_loop_serially(
+            self.program, self.loop, env, config.model
+        )
         self._finish(env)
         return ExecutionReport(
             strategy=Strategy.SERIAL.value,
@@ -690,9 +692,8 @@ class LoopRunner:
                     f"speculative attempt only)"
                 )
         else:
-            serial_interp = Interpreter(self.program, env, value_based=False)
             serial_cycles, _ = rerun_loop_serially(
-                serial_interp, self.loop, config.model
+                self.program, self.loop, env, config.model
             )
             times.serial_rerun = serial_cycles
         return ExecutionReport(

@@ -2,18 +2,24 @@
 
 Provides the sequential oracle (:func:`run_serial`, for correctness
 checks and the SERIAL strategy), the serial re-execution after a failed
-speculation, and :func:`serial_loop_cycles`.  The speculative strategies
-take the speedup denominator from the run that happened: the serial
-re-execution's time after a rollback, else the doall's own iteration
-costs priced without marking — never from a separate oracle run.
+speculation (:func:`rerun_serially`), and :func:`serial_loop_cycles`.
+Every re-execution — whole-loop rollback, strip rollback, DOACROSS
+recovery, refusal, the inspector's fail branch and schedule reuse of a
+failed verdict — runs on the compiled closures of
+:mod:`repro.interp.compiled`, never on the tree walker.  The speculative
+strategies take the speedup denominator from the run that happened: the
+serial re-execution's time after a rollback, else the doall's own
+iteration costs priced without marking — never from a separate oracle
+run.
 """
 
 from __future__ import annotations
 
 from repro.dsl.ast_nodes import Do, Program
+from repro.interp.compiled import compile_program
 from repro.interp.costs import CostCounter, IterationCost
 from repro.interp.env import Environment
-from repro.interp.interpreter import Interpreter, find_target_loop, split_at_loop
+from repro.interp.interpreter import find_target_loop, split_at_loop
 from repro.machine.costmodel import CostModel
 from repro.runtime.results import SerialRun
 
@@ -73,52 +79,41 @@ def serial_loop_cycles(
     return sum(model.unmarked_cycles(c) for c in iteration_costs)
 
 
-def rerun_values_serially(
-    interp: Interpreter,
+def rerun_serially(
+    program: Program,
     loop: Do,
-    values: list[int],
-    step: int,
+    env: Environment,
     model: CostModel,
+    values: list[int] | None = None,
+    step: int = 1,
 ) -> tuple[float, list[IterationCost]]:
-    """Serially re-execute one *strip* of the target loop after a
-    strip-local rollback.
+    """Serially re-execute the target loop in place after a rollback.
 
-    Unlike :func:`rerun_loop_serially` the loop bounds are not
-    re-evaluated — the strip pipeline already knows the iteration values
-    it speculated over — so only the executed iterations are charged.
-    ``step`` positions the loop variable past the strip, exactly where
-    a serial execution of those iterations would leave it.
+    Runs on the compiled closures (:mod:`repro.interp.compiled`), which
+    are state- and count-identical to the tree walker.  With ``values``
+    None the loop bounds are evaluated from ``env`` (at loop entry) and
+    the whole loop runs; an empty range leaves the loop variable at its
+    start value, as Fortran does.  Otherwise only ``values`` run — one
+    strip, or a region the strip pipeline or DOACROSS recovery already
+    enumerated — and ``step`` places the loop variable one step past the
+    last of them.  Returns the simulated serial cycles of the executed
+    iterations and their per-iteration costs.
     """
+    compiled = compile_program(program)
+    if values is None:
+        start, stop, step = compiled.loop_bounds(loop, env)
+        values = loop_iteration_values(start, stop, step)
+        if not values:
+            env.set_scalar(loop.var, start)
     cost = CostCounter()
-    previous = interp.cost
-    interp.cost = cost
-    for value in values:
-        interp.exec_iteration(loop, value)
+    compiled.run_loop(loop, env, cost, values)
     if values:
-        interp.env.set_scalar(loop.var, values[-1] + step)
-    interp.cost = previous
-    iteration_costs = list(cost.iteration_costs)
+        env.set_scalar(loop.var, values[-1] + step)
+    iteration_costs = cost.iteration_costs
     return sum(model.iteration_cycles(c) for c in iteration_costs), iteration_costs
 
 
-def rerun_loop_serially(
-    interp: Interpreter,
-    loop: Do,
-    model: CostModel,
-) -> tuple[float, list[IterationCost]]:
-    """Re-execute the target loop serially (after a rollback).
-
-    Uses the given interpreter (plain memory, no marking) and returns the
-    simulated serial time.
-    """
-    cost = CostCounter()
-    previous = interp.cost
-    interp.cost = cost
-    start, stop, step = interp.eval_loop_bounds(loop)
-    values = loop_iteration_values(start, stop, step)
-    for value in values:
-        interp.exec_iteration(loop, value)
-    interp.env.set_scalar(loop.var, (values[-1] + step) if values else start)
-    interp.cost = previous
-    iteration_costs = list(cost.iteration_costs)
-    return sum(model.iteration_cycles(c) for c in iteration_costs), iteration_costs
+#: The rollback call sites use these names for whole-loop and strip
+#: re-executions, and ``perfbench/tracer.py`` patches them by name to
+#: time the rollback layer; both are :func:`rerun_serially`.
+rerun_loop_serially = rerun_values_serially = rerun_serially

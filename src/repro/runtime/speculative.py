@@ -230,12 +230,7 @@ def run_speculative(
         checkpoint.restore()
         times.restore = sim.restore_time(checkpoint.elements_saved)
         if distance is not None:
-            _start, _stop, step = Interpreter(
-                program, env, value_based=False
-            ).eval_loop_bounds(loop)
-            rec = rec_engine.recover(
-                program, loop, env, run.values, step, sim, distance=distance
-            )
+            rec = rec_engine.recover(program, loop, env, sim, distance=distance)
             times.doacross = rec.time.total
             serial_cycles = rec.serial_equivalent
             stats["recovered_iterations"] = float(rec.iterations)
@@ -244,10 +239,7 @@ def run_speculative(
             stats["recovery_sync_wait_cycles"] = rec.time.sync_wait_cycles
             stats["recovered_fraction"] = rec.recovered_fraction
         else:
-            serial_interp = Interpreter(program, env, value_based=False)
-            serial_cycles, _costs = rerun_loop_serially(
-                serial_interp, loop, sim.model
-            )
+            serial_cycles, _costs = rerun_loop_serially(program, loop, env, sim.model)
             times.serial_rerun = serial_cycles
             if recovery:
                 stats["recovered_fraction"] = 0.0
@@ -619,8 +611,8 @@ class SpeculationPipeline:
                 times.restore = sim.restore_time(checkpoint.elements_saved)
                 if distance is not None:
                     rec = rec_engine.recover(
-                        self.program, self.loop, env, strip_values, step,
-                        sim, distance=distance,
+                        self.program, self.loop, env, sim,
+                        distance=distance, values=strip_values, step=step,
                     )
                     times.doacross = rec.time.total
                     strip_recovered = True
@@ -644,11 +636,9 @@ class SpeculationPipeline:
                         float(distance),
                     )
                 else:
-                    serial_interp = Interpreter(
-                        self.program, env, value_based=False
-                    )
                     serial_time, _costs = rerun_values_serially(
-                        serial_interp, self.loop, strip_values, step, sim.model
+                        self.program, self.loop, env, sim.model,
+                        strip_values, step,
                     )
                     times.serial_rerun = serial_time
                     serial_cycles += serial_time

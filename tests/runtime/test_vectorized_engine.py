@@ -10,6 +10,8 @@ the compiled engine with the reason recorded on the report.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,11 +23,13 @@ from repro.machine.costmodel import fx80
 from repro.machine.schedule import ScheduleKind
 from repro.machine.simulator import DoallSimulator
 from repro.runtime.orchestrator import LoopRunner, RunConfig, Strategy
+from repro.runtime.serial import run_serial
 from repro.runtime.speculative import run_speculative
 from repro.workloads.bdna import build_bdna
 from repro.workloads.mdg import build_mdg
 from repro.workloads.ocean import build_ocean
 from repro.workloads.spice import build_spice
+from repro.workloads.synthetic import build_synthdoacross
 
 PROCS = 8
 
@@ -215,3 +219,26 @@ class TestFallback:
         _assert_outcomes_identical(
             outcomes["compiled"], envs["compiled"], vec, envs["vectorized"]
         )
+
+
+class TestFloatOverflow:
+    def test_overflow_is_silent_and_matches_the_walker(self):
+        """Python floats overflow to inf silently, so the walker does; a
+        vectorized strip whose ``t * t`` overflows must neither print a
+        NumPy RuntimeWarning nor leave a different state."""
+        workload = build_synthdoacross(160, distance=12, seed=0)
+        program = workload.program()
+        model = fx80().with_procs(PROCS)
+        oracle = run_serial(program, workload.inputs, model, engine="walk")
+        runner = LoopRunner(program, workload.inputs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = runner.run(
+                Strategy.STRIPPED,
+                RunConfig(model=model, engine="vectorized", strip_size=24),
+            )
+        assert report.engine_used == "vectorized"
+        assert np.isinf(oracle.env.arrays["a"]).any()
+        for name, expected in oracle.env.arrays.items():
+            assert report.env.arrays[name].tobytes() == expected.tobytes(), name
+        assert report.serial_loop_time == oracle.loop_time
