@@ -61,9 +61,6 @@ class DoallRun:
     #: the ``auto`` planner's recorded rationale (None for explicit
     #: engine requests).
     engine_decision: str | None = None
-    #: seconds the jit engine spent warming cold native kernels before
-    #: this doall (0.0 on warm keys and for every other engine).
-    jit_compile_s: float = 0.0
 
     @property
     def num_iterations(self) -> int:
@@ -185,12 +182,18 @@ def finalize_doall(
     env: Environment,
     plan: InstrumentationPlan,
     loop: Do,
+    *,
+    start: int,
+    step: int,
 ) -> FinalizeStats:
     """Fold private state into the shared environment after a passed test.
 
     Order matters: reduction partials merge first (their elements are then
     excluded from the private copy-out), then dynamic last-value copy-out,
-    then scalar reductions and live-out scalars.
+    then scalar reductions and live-out scalars.  Last, the loop variable
+    takes its serial exit value: one ``step`` past the last executed
+    value, or the loop's ``start`` when nothing ran (an empty range).
+    ``start``/``step`` are the bounds the caller evaluated at loop entry.
     """
     stats = FinalizeStats()
 
@@ -225,7 +228,5 @@ def finalize_doall(
             if name in source.scalars:
                 env.set_scalar(name, source.scalars[name])
 
-    if run.values:
-        step = run.values[1] - run.values[0] if len(run.values) > 1 else 1
-        env.set_scalar(loop.var, run.values[-1] + step)
+    env.set_scalar(loop.var, run.values[-1] + step if run.values else start)
     return stats

@@ -239,9 +239,12 @@ def run_inspector_executor(
     engine_used = None
     engine_decision = None
     if result.passed:
+        bounds_interp = Interpreter(program, env, value_based=False)
+        start, stop, step = bounds_interp.eval_loop_bounds(loop)
         run = run_doall(
             program, loop, env, plan, sim.num_procs,
             marker=None, value_based=False, schedule=schedule, engine=engine,
+            values=loop_iteration_values(start, stop, step),
             workers=workers, pool=pool, backend=backend,
             profiles=profiles, loop_key=loop_key,
         )
@@ -256,7 +259,7 @@ def run_inspector_executor(
             assignment=None if schedule is ScheduleKind.DYNAMIC else run.assignment,
         )
         times.body, times.dispatch, times.barrier = body, dispatch, barrier
-        finalize = finalize_doall(run, env, plan, loop)
+        finalize = finalize_doall(run, env, plan, loop, start=start, step=step)
         times.reduction_merge = sim.reduction_merge_time(finalize.reduction_merged)
         times.copy_out = sim.copy_out_time(finalize.copied_out)
         stats["copied_out"] = float(finalize.copied_out)

@@ -16,8 +16,8 @@ tests.
 
 Everything the runner remembers across invocations lives in one
 :class:`~repro.runtime.profile.LoopProfileStore`: cached LRPD verdicts
-(schedule reuse, OCEAN-style loops), per-run observations (the
-feedback the ``auto`` planner consumes), and the jit warm-up ledger.
+(schedule reuse, OCEAN-style loops) and per-run observations (the
+feedback the ``auto`` planner consumes).
 Every ``run()`` leaves one observation behind; loops whose recorded
 history says speculation keeps failing are refused up front when a
 planner engine is in charge.
@@ -52,6 +52,7 @@ from repro.runtime.profile import (
 )
 from repro.runtime.results import ExecutionReport, SerialRun
 from repro.runtime.serial import (
+    loop_iteration_values,
     rerun_loop_serially,
     run_serial,
     serial_loop_cycles,
@@ -647,17 +648,22 @@ class LoopRunner:
                 self._reuse_times.get(memo_key)
                 if signature is not None else None
             )
+            start, stop, step = self._compiled.loop_bounds(self.loop, env)
             tick = time.perf_counter()
             run = run_doall(
                 self.program, self.loop, env, self.plan, sim.num_procs,
                 marker=None, value_based=False, schedule=config.schedule,
-                engine=reuse_engine, workers=reuse_workers,
+                engine=reuse_engine,
+                values=loop_iteration_values(start, stop, step),
+                workers=reuse_workers,
                 pool=pool, backend=config.backend,
                 profiles=self.profiles, loop_key=self._loop_key(),
                 need_costs=memo is None,
             )
             wall.doall = time.perf_counter() - tick
-            finalize = finalize_doall(run, env, self.plan, self.loop)
+            finalize = finalize_doall(
+                run, env, self.plan, self.loop, start=start, step=step
+            )
             if memo is None:
                 serial_cycles = serial_loop_cycles(config.model, run.iteration_costs)
                 times.private_init = sim.private_init_time(

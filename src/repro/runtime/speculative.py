@@ -162,6 +162,8 @@ def run_speculative(
         )
     times.shadow_init = sim.shadow_init_time(sum(shadow_sizes.values()))
 
+    bounds_interp = Interpreter(program, env, value_based=False)
+    start, stop, step = bounds_interp.eval_loop_bounds(loop)
     tick = time.perf_counter()
     run = run_doall(
         program,
@@ -173,6 +175,7 @@ def run_speculative(
         value_based=(test_mode is TestMode.LRPD),
         schedule=schedule,
         engine=engine,
+        values=loop_iteration_values(start, stop, step),
         workers=workers,
         pool=pool,
         backend=backend,
@@ -180,7 +183,6 @@ def run_speculative(
         loop_key=loop_key,
     )
     wall.doall = time.perf_counter() - tick
-    wall.jit_compile = run.jit_compile_s
     times.private_init = sim.private_init_time(
         sum(p.size for p in run.privates.values())
     )
@@ -211,7 +213,7 @@ def run_speculative(
 
     if result.passed:
         tick = time.perf_counter()
-        finalize = finalize_doall(run, env, plan, loop)
+        finalize = finalize_doall(run, env, plan, loop, start=start, step=step)
         wall.commit = time.perf_counter() - tick
         times.reduction_merge = sim.reduction_merge_time(finalize.reduction_merged)
         times.copy_out = sim.copy_out_time(finalize.copied_out)
@@ -556,7 +558,6 @@ class SpeculationPipeline:
                 loop_key=self.loop_key,
             )
             wall.doall = time.perf_counter() - tick
-            wall.jit_compile = run.jit_compile_s
             times.private_init = sim.private_init_time(
                 sum(p.size for p in run.privates.values())
             )
@@ -588,7 +589,9 @@ class SpeculationPipeline:
 
             if result.passed:
                 tick = time.perf_counter()
-                finalize = finalize_doall(run, env, plan, self.loop)
+                finalize = finalize_doall(
+                    run, env, plan, self.loop, start=start, step=step
+                )
                 wall.commit = time.perf_counter() - tick
                 times.reduction_merge = sim.reduction_merge_time(
                     finalize.reduction_merged
@@ -671,10 +674,10 @@ class SpeculationPipeline:
                 engine_used = run.engine_used
                 engine_decision = run.engine_decision
 
-        if values:
-            # Normalize the loop variable's exit value; per-strip commits
-            # cannot know the step when a strip has a single iteration.
-            env.set_scalar(self.loop.var, values[-1] + step)
+        if not values:
+            # An empty range runs no strip; the variable still takes its
+            # start value, as the serial loop leaves it.
+            env.set_scalar(self.loop.var, start)
         stats["strips"] = float(aggregator.strips)
         stats["strips_failed"] = float(aggregator.strips_failed)
         if self.recovery:

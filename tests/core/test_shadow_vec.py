@@ -17,6 +17,7 @@ from repro.core.shadow import (
     KIND_WRITE,
     OP_NAMES,
     ShadowArray,
+    fused_order,
 )
 from repro.errors import SpeculationFailed
 
@@ -109,8 +110,30 @@ def test_repeated_indices_within_one_call_count_tw_once_per_granule():
     assert bool(vec.multi_w[6])
 
 
+#: staging edge cases, as ``(eager, stream)``: an empty stream, a
+#: single-element strip, a reduction-operator conflict (sets ``nx``),
+#: and an exposed read after another granule's write under eager
+#: detection (the staged batch's ``would_fail``).
+EDGE_STREAMS = [
+    (False, []),
+    (False, [(KIND_WRITE, 7, 3, 0)]),
+    (False, [(KIND_REDUX, 5, 0, 1), (KIND_REDUX, 5, 1, 2)]),
+    (True, [(KIND_WRITE, 4, 0, 0), (KIND_READ, 4, 2, 0)]),
+]
+
+
+def _failure(mark) -> str | None:
+    """The eager failure ``mark()`` raises, or None when it passes."""
+    try:
+        mark()
+    except SpeculationFailed as exc:
+        return str(exc)
+    return None
+
+
 def test_mixed_stream_vec_matches_scalar_replay():
     rng = np.random.default_rng(7)
+    cases = []
     for trial in range(40):
         stream = []
         for _ in range(rng.integers(1, 60)):
@@ -119,17 +142,22 @@ def test_mixed_stream_vec_matches_scalar_replay():
             granule = int(rng.integers(0, 6))
             op = int(rng.integers(1, 3)) if kind == KIND_REDUX else 0
             stream.append((kind, index, granule, op))
-        vec = ShadowArray("a", SIZE)
-        ref = ShadowArray("a", SIZE)
+        cases.append((False, stream))
+    for eager, stream in cases + EDGE_STREAMS:
+        vec = ShadowArray("a", SIZE, eager=eager)
+        ref = ShadowArray("a", SIZE, eager=eager)
         # Pre-existing marks exercise the pre-batch fallback paths.
         vec.mark_write(0, 2)
         ref.mark_write(0, 2)
         vec.mark_redux(1, 0, "*")
         ref.mark_redux(1, 0, "*")
-        kinds, idx, ops, grans, rank = _columns(stream)
-        vec.mark_stream_vec(kinds, idx, ops, grans, rank)
-        _replay(ref, stream)
+        columns = _columns(stream)
+        staged = vec.stage_stream_vec(*columns)
+        failed = _failure(lambda: vec.mark_stream_vec(*columns))
+        assert failed == _failure(lambda: _replay(ref, stream))
+        assert staged.would_fail == (failed is not None)
         _assert_same(vec, ref)
+    assert failed is not None  # the last edge case does fail eagerly
 
 
 def test_rank_order_decides_covering_not_input_order():
@@ -191,3 +219,29 @@ def test_empty_stream_is_a_noop():
     vec.mark_write_vec([], [])
     assert vec.tw == 0
     assert not vec.w.any()
+
+
+class TestFusedOrder:
+    def test_matches_lexsort_on_small_keys(self):
+        rng = np.random.default_rng(5)
+        idx = rng.integers(0, 100, size=200)
+        rank = rng.integers(0, 50, size=200)
+        np.testing.assert_array_equal(
+            fused_order(idx, rank), np.lexsort((rank, idx))
+        )
+
+    def test_huge_sparse_indices_do_not_overflow(self):
+        # Shadow sizes >= 2**31 must not wrap the fused int32 key; the
+        # guard promotes to int64 (and to lexsort past 2**62).
+        idx = np.array([2**31 + 7, 3, 2**31 + 7, 2**33], dtype=np.int64)
+        rank = np.array([1, 0, 0, 2], dtype=np.int64)
+        np.testing.assert_array_equal(
+            fused_order(idx, rank), np.lexsort((rank, idx))
+        )
+
+    def test_key_space_past_int62_falls_back_to_lexsort(self):
+        idx = np.array([2**61, 0, 2**61], dtype=np.int64)
+        rank = np.array([5, 1, 2], dtype=np.int64)
+        np.testing.assert_array_equal(
+            fused_order(idx, rank), np.lexsort((rank, idx))
+        )

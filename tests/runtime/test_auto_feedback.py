@@ -24,17 +24,6 @@ from repro.workloads.ocean import build_ocean
 PROCS = 4
 
 
-@pytest.fixture(autouse=True)
-def _cold_kernel_cache():
-    """Keep the jit warm-up ledger cold so the eligible-engine set is
-    the same on every host (a warm ledger would add "jit" to it)."""
-    from repro.runtime.profile import kernel_cache
-
-    kernel_cache.clear()
-    yield
-    kernel_cache.clear()
-
-
 def _obs(engine, doall_s, *, passed=True, strip_size=None):
     return RunObservation(
         strategy="speculative", engine=engine, backend="fork",
@@ -366,6 +355,33 @@ class TestPersistenceAcrossRunners:
         report = fresh.run(Strategy.SPECULATIVE, _config("auto"))
         assert report.stats.get("refused") == 1.0
         assert "failure rate" in report.engine_decisions[0][1]
+
+
+    def test_retired_engine_history_loads_and_is_ignored(self, tmp_path):
+        """A profile file written while a ``jit`` engine existed still
+        loads; the warm planner skips those observations and picks only
+        among registered engines."""
+        path = tmp_path / "profiles.json"
+        build = lambda: build_bdna(n=60)  # noqa: E731
+
+        trainer = _runner(build, profiles=LoopProfileStore(path=path))
+        _seed(
+            trainer,
+            _obs("jit", 0.0001), _obs("jit", 0.0001), _obs("jit", 0.0001),
+            _obs("compiled", 0.001), _obs("compiled", 0.003),
+            _obs("vectorized", 0.5), _obs("vectorized", 0.7),
+        )
+        trainer.profiles.save()
+
+        fresh = _runner(build, profiles=LoopProfileStore(path=path))
+        assert fresh.profiles.load_error is None
+        engines = [o.engine for o in fresh.profiles.observations(fresh._loop_key())]
+        assert engines.count("jit") == 3
+        report = fresh.run(Strategy.SPECULATIVE, _config("auto"))
+        assert report.engine_used == "compiled"
+        (_key, reason), = report.engine_decisions
+        assert "jit" not in reason
+        assert "4 timed runs total" in reason
 
 
 class TestReportTelemetry:

@@ -61,6 +61,17 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "nosuch"])
 
+    def test_retired_jit_engine_rejected_with_registered_list(self, capsys):
+        from repro.runtime.engines import engine_names
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "bdna", "--engine", "jit"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'jit'" in err
+        for name in engine_names():
+            assert name in err
+
 
 class TestVerboseFallbacks:
     def test_rejected_loop_prints_fallback_reason(self, capsys):

@@ -60,7 +60,7 @@ class TestExecutionStructure:
 class TestFinalize:
     def test_copy_out_matches_serial(self):
         program, plan, env, run = setup()
-        finalize_doall(run, env, plan, plan.loop)
+        finalize_doall(run, env, plan, plan.loop, start=1, step=1)
         expected = np.zeros(8)
         idx = np.array([3, 1, 4, 2, 8, 6, 5, 7]) - 1
         expected[idx] = np.arange(8.0) * 2.0
@@ -68,21 +68,21 @@ class TestFinalize:
 
     def test_loop_var_set_past_bound(self):
         program, plan, env, run = setup()
-        finalize_doall(run, env, plan, plan.loop)
+        finalize_doall(run, env, plan, plan.loop, start=1, step=1)
         assert env.scalars["i"] == 9
 
     def test_zero_trip_loop(self):
         program, plan, env, run = setup(
             inputs={"n": 0, "idx": np.arange(1, 9), "v": np.zeros(8)}
         )
-        stats = finalize_doall(run, env, plan, plan.loop)
+        stats = finalize_doall(run, env, plan, plan.loop, start=1, step=1)
         assert run.num_iterations == 0
         assert stats.copied_out == 0
 
     def test_unmarked_run_for_executor_phase(self):
         program, plan, env, run = setup(marked=False)
         assert run.marker is None
-        finalize_doall(run, env, plan, plan.loop)
+        finalize_doall(run, env, plan, plan.loop, start=1, step=1)
         assert env.arrays["a"].sum() > 0.0
 
 
@@ -98,7 +98,7 @@ class TestScalarHandling:
         env = Environment(program, inputs)
         marker = ShadowMarker({n: env.array_size(n) for n in plan.tested_arrays})
         run = run_doall(program, plan.loop, env, plan, 3, marker=marker)
-        finalize_doall(run, env, plan, plan.loop)
+        finalize_doall(run, env, plan, plan.loop, start=1, step=1)
         expected = np.zeros(6)
         expected[np.array([2, 4, 6, 1, 3, 5]) - 1] = np.arange(6.0) * 10.0
         np.testing.assert_allclose(env.arrays["a"], expected)
@@ -117,7 +117,7 @@ class TestScalarHandling:
         env = Environment(program, inputs)
         marker = ShadowMarker({n: env.array_size(n) for n in plan.tested_arrays})
         run = run_doall(program, plan.loop, env, plan, 3, marker=marker)
-        finalize_doall(run, env, plan, plan.loop)
+        finalize_doall(run, env, plan, plan.loop, start=1, step=1)
         assert env.scalars["s"] == pytest.approx(100.0 + 15.0)
 
 

@@ -474,8 +474,8 @@ class TestPersistence:
         assert len(store) == 0
 
     def test_kernel_ledger_not_persisted(self, tmp_path):
-        """Compiled-code warmth dies with the process; the snapshot
-        must not carry the jit warm-up ledger."""
+        """The snapshot carries the verdicts and the loop rings and
+        nothing process-local."""
         store = LoopProfileStore()
         self._seed(store)
         payload = store_to_json(store)

@@ -154,6 +154,48 @@ class TestComposition:
             )
 
 
+    @pytest.mark.parametrize(
+        "config_kwargs",
+        [{"workers": 2}, {"strip_size": 16}],
+        ids=["worker_sharded", "stripped"],
+    )
+    def test_matches_walk_oracle(self, config_kwargs):
+        """Worker-sharded and strip-mined whole-block runs leave the
+        state the tree walker's serial run leaves (dead private scalars
+        excepted: a committed doall copies out only live-out ones)."""
+        workload = build_bdna(n=60)
+        runner = LoopRunner(workload.program(), workload.inputs)
+        model = fx80().with_procs(PROCS)
+        strategy = (
+            Strategy.STRIPPED if "strip_size" in config_kwargs
+            else Strategy.SPECULATIVE
+        )
+        report = runner.run(
+            strategy, RunConfig(model=model, engine="vectorized", **config_kwargs)
+        )
+        oracle = run_serial(
+            runner.program, runner.inputs, model, loop=runner.loop,
+            engine="walk",
+        )
+        assert report.passed
+        assert report.engine_used == "vectorized"
+        assert report.serial_loop_time == oracle.loop_time
+        plan = runner.plan
+        dead = set(plan.scalar_classes) - plan.live_out_scalars - {plan.loop.var}
+        assert dead  # the exemption is real, not vacuous
+
+        def live(env):
+            return {k: v for k, v in env.scalars.items() if k not in dead}
+
+        assert live(report.env) == live(oracle.env)
+        # At p > 1 the reduction merge reassociates FP sums (1-ULP drift).
+        for name in oracle.env.arrays:
+            np.testing.assert_allclose(
+                report.env.arrays[name], oracle.env.arrays[name],
+                rtol=1e-12, atol=0.0, err_msg=name,
+            )
+
+
 class TestFallback:
     def test_rejected_workload_completes_via_compiled(self):
         """SPICE's reduction arrays are read outside their updates — the

@@ -96,6 +96,15 @@ class TestBadJobs:
                 client.submit(JobRequest(workload="synthpass", engine="warp"))
         assert info.value.code == "invalid-job"
 
+    def test_retired_jit_engine_rejected_and_daemon_keeps_serving(self, harness):
+        with ReproClient(harness.socket_path, timeout=30.0) as client:
+            with pytest.raises(JobRejected, match="registered engines") as info:
+                client.submit(JobRequest(workload="synthpass", engine="jit"))
+            assert info.value.code == "invalid-job"
+            assert "'jit'" in str(info.value)
+            report = client.submit(JobRequest(workload="synthpass", procs=2))
+            assert report.passed is True
+
     def test_unknown_machine(self, harness):
         with ReproClient(harness.socket_path, timeout=30.0) as client:
             with pytest.raises(JobRejected) as info:
