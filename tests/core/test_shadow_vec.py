@@ -110,30 +110,8 @@ def test_repeated_indices_within_one_call_count_tw_once_per_granule():
     assert bool(vec.multi_w[6])
 
 
-#: staging edge cases, as ``(eager, stream)``: an empty stream, a
-#: single-element strip, a reduction-operator conflict (sets ``nx``),
-#: and an exposed read after another granule's write under eager
-#: detection (the staged batch's ``would_fail``).
-EDGE_STREAMS = [
-    (False, []),
-    (False, [(KIND_WRITE, 7, 3, 0)]),
-    (False, [(KIND_REDUX, 5, 0, 1), (KIND_REDUX, 5, 1, 2)]),
-    (True, [(KIND_WRITE, 4, 0, 0), (KIND_READ, 4, 2, 0)]),
-]
-
-
-def _failure(mark) -> str | None:
-    """The eager failure ``mark()`` raises, or None when it passes."""
-    try:
-        mark()
-    except SpeculationFailed as exc:
-        return str(exc)
-    return None
-
-
 def test_mixed_stream_vec_matches_scalar_replay():
     rng = np.random.default_rng(7)
-    cases = []
     for trial in range(40):
         stream = []
         for _ in range(rng.integers(1, 60)):
@@ -142,22 +120,17 @@ def test_mixed_stream_vec_matches_scalar_replay():
             granule = int(rng.integers(0, 6))
             op = int(rng.integers(1, 3)) if kind == KIND_REDUX else 0
             stream.append((kind, index, granule, op))
-        cases.append((False, stream))
-    for eager, stream in cases + EDGE_STREAMS:
-        vec = ShadowArray("a", SIZE, eager=eager)
-        ref = ShadowArray("a", SIZE, eager=eager)
+        vec = ShadowArray("a", SIZE)
+        ref = ShadowArray("a", SIZE)
         # Pre-existing marks exercise the pre-batch fallback paths.
         vec.mark_write(0, 2)
         ref.mark_write(0, 2)
         vec.mark_redux(1, 0, "*")
         ref.mark_redux(1, 0, "*")
-        columns = _columns(stream)
-        staged = vec.stage_stream_vec(*columns)
-        failed = _failure(lambda: vec.mark_stream_vec(*columns))
-        assert failed == _failure(lambda: _replay(ref, stream))
-        assert staged.would_fail == (failed is not None)
+        kinds, idx, ops, grans, rank = _columns(stream)
+        vec.mark_stream_vec(kinds, idx, ops, grans, rank)
+        _replay(ref, stream)
         _assert_same(vec, ref)
-    assert failed is not None  # the last edge case does fail eagerly
 
 
 def test_rank_order_decides_covering_not_input_order():
@@ -245,3 +218,76 @@ class TestFusedOrder:
         np.testing.assert_array_equal(
             fused_order(idx, rank), np.lexsort((rank, idx))
         )
+
+
+def _failure(mark) -> str | None:
+    """The eager failure ``mark()`` raises, or None when it passes."""
+    try:
+        mark()
+    except SpeculationFailed as exc:
+        return str(exc)
+    return None
+
+
+class TestStageStream:
+    """``stage_stream_vec`` staging vs replaying the stream access by access.
+
+    The streams carry shuffled ranks, so the replay runs in rank order
+    rather than input order.
+    """
+
+    @staticmethod
+    def _check(stream, rank=None, eager=False, premarked=False):
+        columns = _columns(stream)
+        if rank is not None:
+            columns = columns[:4] + (np.asarray(rank, dtype=np.int64),)
+        vec = ShadowArray("a", SIZE, eager=eager)
+        ref = ShadowArray("a", SIZE, eager=eager)
+        if premarked:
+            # Pre-existing marks exercise the pre-batch state loads.
+            for shadow in (vec, ref):
+                shadow.mark_write(0, 2)
+                shadow.mark_redux(1, 0, "*")
+        staged = vec.stage_stream_vec(*columns)
+        failed = _failure(lambda: vec.mark_stream_vec(*columns))
+        in_rank_order = [stream[i] for i in np.argsort(columns[4], kind="stable")]
+        assert failed == _failure(lambda: _replay(ref, in_rank_order))
+        assert staged.would_fail == (failed is not None)
+        _assert_same(vec, ref)
+        return vec, failed
+
+    def test_random_streams_match_numpy_staging(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            length = int(rng.integers(1, 80))
+            stream = []
+            for _ in range(length):
+                kind = int(rng.integers(0, 3))
+                op = int(rng.integers(1, 3)) if kind == KIND_REDUX else 0
+                stream.append(
+                    (kind, int(rng.integers(0, SIZE)), int(rng.integers(0, 6)), op)
+                )
+            self._check(stream, rank=rng.permutation(length), premarked=True)
+
+    def test_empty_stream_is_a_noop(self):
+        shadow, failed = self._check([])
+        assert failed is None
+        assert shadow.tw == 0
+        assert not shadow.w.any()
+
+    def test_single_element_strip(self):
+        shadow, _ = self._check([(KIND_WRITE, 7, 3, 0)])
+        assert shadow.tw == 1
+        assert bool(shadow.w[7])
+
+    def test_redux_op_conflict_sets_nx(self):
+        # '+' then '*' on the same element.
+        shadow, _ = self._check([(KIND_REDUX, 5, 0, 1), (KIND_REDUX, 5, 1, 2)])
+        assert bool(shadow.nx[5])
+
+    def test_eager_would_fail_matches_numpy(self):
+        # An exposed read after another granule's write fails eagerly.
+        _, failed = self._check(
+            [(KIND_WRITE, 4, 0, 0), (KIND_READ, 4, 2, 0)], eager=True
+        )
+        assert failed is not None
