@@ -25,6 +25,7 @@ from repro.runtime.serial import run_serial
 from repro.runtime.speculative import run_speculative
 from repro.workloads.bdna import build_bdna
 from repro.workloads.synthetic import build_synthdoacross
+from repro.workloads.track import build_track
 
 ROUNDS = 3
 PROCS = 8
@@ -219,6 +220,76 @@ def test_engine_speed_vectorized(benchmark, artifact):
     _assert_same_env(fast_env, vec_env)
     # The perf target: whole-block lowering is >=3x over closure dispatch.
     assert ratio >= 3.0, f"vectorized speculative engine only {ratio:.2f}x"
+
+
+def test_engine_speed_transcendental(benchmark, artifact):
+    """The vectorized engine on TRACK, whose body calls ``exp``.
+
+    exp/log/sin/cos run through ``math.*`` once per active lane, so the
+    block commits whole instead of degrading to compiled; TRACK's
+    privatized ``out``/``iw`` live in the sparse lane store.  The block
+    must commit (no fallback) and every observable must match the
+    compiled engine.
+    """
+    workload = build_track()
+    program = parse(workload.source)
+    plan = build_plan(program)
+    loop = plan.loop
+    before, _after = split_at_loop(program, loop)
+
+    def speculative(engine: str):
+        env = Environment(program, workload.inputs)
+        Interpreter(program, env, value_based=False).exec_block(before)
+        sim = DoallSimulator(fx80().with_procs(PROCS), ScheduleKind.BLOCK)
+        outcome = run_speculative(program, loop, env, plan, sim, engine=engine)
+        return outcome, _env_state(env)
+
+    def measure():
+        calibration_s = calibrate()
+        fast = min_wall(lambda: speculative("compiled"), rounds=5)
+        vec = min_wall(lambda: speculative("vectorized"), rounds=5)
+        return calibration_s, fast, vec
+
+    calibration_s, (fast_wall, (fast_out, fast_env)), (vec_wall, (vec_out, vec_env)) = (
+        run_once(benchmark, measure)
+    )
+    ratio = fast_wall / vec_wall
+
+    write_bench_json(
+        "engine_speed",
+        calibration_s,
+        {"vectorized_transcendental": vec_wall},
+        extra={"compiled_over_vectorized_transcendental": ratio},
+        merge=True,
+    )
+
+    artifact(
+        "engine_speed_transcendental",
+        "\n".join(
+            [
+                f"Execution engines on TRACK n={len(workload.inputs['data'])} "
+                f"(speculative protocol, p={PROCS}, best of 5)",
+                f"compiled engine  : {fast_wall * 1000:8.1f} ms wall clock",
+                f"vectorized engine: {vec_wall * 1000:8.1f} ms wall clock "
+                f"({ratio:.2f}x)",
+                f"block committed vectorized: "
+                f"{vec_out.run.engine_used == 'vectorized'}",
+                f"LRPD passed (both engines): {fast_out.result.passed}",
+                f"identical simulated times : {fast_out.times == vec_out.times}",
+            ]
+        ),
+    )
+
+    # The block must commit — a silent fallback would time compiled twice.
+    assert vec_out.run.engine_used == "vectorized"
+    assert vec_out.run.fallback_reason is None
+    # Bit-identical simulated protocol under both engines.
+    assert fast_out.result == vec_out.result
+    assert fast_out.result.passed
+    assert fast_out.times == vec_out.times
+    assert fast_out.stats == vec_out.stats
+    assert fast_out.run.iteration_costs == vec_out.run.iteration_costs
+    _assert_same_env(fast_env, vec_env)
 
 
 def test_engine_speed_auto(benchmark, artifact):

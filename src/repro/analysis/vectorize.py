@@ -3,12 +3,13 @@
 Decides whether a target loop body can be lowered to NumPy index-vector
 kernels (:mod:`repro.interp.vectorized_spec`): straight-line
 gather/compute/scatter assignments, mask-convertible ``if``s, nested
-counted ``do`` loops, and syntactically matched reductions.  Everything
-else — ``while`` loops, writes to untested shared arrays, reduction
-dataflow through temporaries, intrinsics whose NumPy kernels are not
-bit-identical to the scalar interpreter (``exp``/``log``/``sin``/
-``cos``), dynamic-kind operators (``**``) — is rejected with a recorded
-reason, and the caller falls back to the compiled per-iteration engine.
+counted ``do`` loops, and syntactically matched reductions — array
+``A(e) = A(e) op rest`` updates and scalar ``s = s op rest`` /
+``s = max(s, rest)`` / ``s = min(rest, s)`` folds.  Everything else —
+``while`` loops, writes to untested shared arrays, reduction dataflow
+through temporaries, dynamic-kind operators (``**``) — is rejected with
+a recorded reason, and the caller falls back to the compiled
+per-iteration engine.
 
 The classifier is deliberately conservative: acceptance promises that
 the vectorized lowering is *bit-identical* to the compiled engine on
@@ -37,12 +38,16 @@ from repro.dsl.ast_nodes import (
     expr_equal,
 )
 
-#: intrinsics whose NumPy element-wise kernels are bit-identical to the
-#: interpreter's Python/math implementations (IEEE-exact operations).
-#: exp/log/sin/cos are excluded: libm and NumPy's SIMD kernels may
-#: differ in the last ulp, which would break engine parity.
+#: intrinsics the whole-block engine reproduces bit for bit.  The
+#: IEEE-exact ones run as NumPy element-wise kernels; exp/log/sin/cos
+#: are evaluated through ``math.*`` per active lane — the very call the
+#: scalar interpreter makes — because libm and NumPy's SIMD kernels may
+#: differ in the last ulp.
 SAFE_INTRINSICS = frozenset(
-    {"abs", "sqrt", "floor", "int", "real", "sign", "mod", "min", "max"}
+    {
+        "abs", "sqrt", "floor", "int", "real", "sign", "mod", "min", "max",
+        "exp", "log", "sin", "cos",
+    }
 )
 
 
@@ -119,9 +124,7 @@ class _Classifier:
     def kind_of_call(self, expr: Call) -> str:
         func = expr.func
         if func not in SAFE_INTRINSICS:
-            raise _Reject(
-                f"intrinsic {func!r} is not bit-exact under vectorization"
-            )
+            raise _Reject(f"intrinsic {func!r} is not vectorizable")
         arg_kinds = [self.kind_of(arg) for arg in expr.args]
         if func in ("min", "max"):
             if len(set(arg_kinds)) > 1:
@@ -130,7 +133,7 @@ class _Classifier:
                     "value-dependent result kind"
                 )
             return arg_kinds[0]
-        if func == "sqrt":
+        if func in ("sqrt", "exp", "log", "sin", "cos"):
             return "real"
         if func in ("floor", "int"):
             return "integer"
@@ -253,7 +256,10 @@ class _Classifier:
         self.check_expr(rest)
 
     def scalar_reduction_rest(self, stmt: Assign) -> Expr:
-        """The contribution operand of a direct scalar reduction update."""
+        """The contribution operand of a direct scalar reduction update:
+        ``s = s op rest`` / ``s = rest op s``, or ``s = max(s, rest)`` /
+        ``s = max(rest, s)`` (and ``min``) when the plan recorded that
+        fold operator for ``s``."""
         assert isinstance(stmt.target, Var)
         name = stmt.target.name
         expr = stmt.expr
@@ -274,6 +280,20 @@ class _Classifier:
                 return expr.right
             if expr.op in ("+", "*") and is_self(expr.right) and not reads_self(expr.left):
                 return expr.left
+        if (
+            isinstance(expr, Call)
+            and expr.func == self.scalar_reductions[name]  # min / max
+            and len(expr.args) == 2
+        ):
+            left, right = expr.args
+            rest = right if is_self(left) else left if is_self(right) else None
+            if rest is not None and not reads_self(rest):
+                if self.kind_of(rest) != self.kinds[name]:
+                    raise _Reject(
+                        f"{expr.func}() over mixed integer/real arguments "
+                        "has a value-dependent result kind"
+                    )
+                return rest
         raise _Reject(
             f"scalar reduction {name!r} not in direct ``s = s op expr`` form"
         )

@@ -27,6 +27,8 @@ compiled/walk engines (parity-tested on the paper workloads and fuzzed).
 
 from __future__ import annotations
 
+import math
+import operator
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -62,8 +64,13 @@ from repro.interp.env import Environment
 _I64 = np.int64
 _BIG = 1 << 62          # safe headroom below int64 overflow
 _F_EXACT = 1 << 53      # ints exactly representable as float64
-_SCRATCH_CELL_CAP = 1 << 23   # private scratch budget (rows * size)
 _NESTED_TRIP_CAP = 1_000_000  # lockstep nested-do step budget
+
+#: scalar-reduction fold steps, applied to Python values in exec order.
+_SCALAR_FOLDS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "max": max, "min": min,
+}
 
 
 class VectorizeBail(Exception):
@@ -107,6 +114,26 @@ def _merge_atoms(left: tuple, right: tuple) -> tuple:
     if not left:
         return right
     return left + right
+
+
+def _blend_atoms(old: tuple, new: tuple, mask: np.ndarray) -> tuple:
+    """The taints of ``where(mask, new, old)``.
+
+    An atom on both sides (the assigned expression read the scalar
+    itself) keeps its presence whole, ``present & ~mask | present &
+    mask``, so a scalar updated inside a masked loop does not split
+    every taint it holds in two on each step.
+    """
+    if not old:
+        return _mask_atoms(new, mask)
+    if not new:
+        return _mask_atoms(old, ~mask)
+    shared = {id(atom) for atom in old} & {id(atom) for atom in new}
+    return (
+        tuple(atom for atom in old if id(atom) in shared)
+        + _mask_atoms(tuple(a for a in old if id(a) not in shared), ~mask)
+        + _mask_atoms(tuple(a for a in new if id(a) not in shared), mask)
+    )
 
 
 def _mask_atoms(atoms: tuple, mask: np.ndarray) -> tuple:
@@ -161,19 +188,42 @@ class _ScalarState:
 
 
 class _PrivateState:
-    """Staged per-lane view of one privatized array."""
+    """Staged per-lane view of one privatized array.
 
-    __slots__ = ("base", "scratch", "written", "writes", "base_reads", "size")
+    The lanes' own stores live in a sparse store: the sorted, unique
+    cell keys ``lane * size + idx0`` and the newest value stored at each,
+    so memory grows with the stores executed, not with lanes × size.  A
+    trailing sentinel key above every cell key keeps each
+    ``searchsorted`` position in range.
+    """
 
-    def __init__(self, base: np.ndarray, rows: int):
+    __slots__ = ("base", "keys", "vals", "writes", "base_reads", "size")
+
+    def __init__(self, base: np.ndarray):
         self.base = base
         self.size = int(base.size)
-        self.scratch = np.zeros((rows, self.size), dtype=base.dtype)
-        self.written = np.zeros((rows, self.size), dtype=bool)
+        self.keys = np.array([np.iinfo(_I64).max], dtype=_I64)
+        self.vals = np.zeros(1, dtype=base.dtype)
         #: (lane_sel, idx0_sel, cast values, seq) per store event.
         self.writes: list = []
         #: (lane_sel, idx0_sel) per load that fell through to the base.
         self.base_reads: list = []
+
+    def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(own, at)``: which ``keys`` a lane has stored, and where."""
+        at = np.searchsorted(self.keys, keys)
+        return self.keys[at] == keys, at
+
+    def store(self, keys: np.ndarray, vals: np.ndarray) -> None:
+        """Record one store event; ``keys`` are strictly increasing (one
+        store per lane, lanes ascending).  A key already present takes
+        the new value — the last write wins."""
+        own, at = self.lookup(keys)
+        self.vals[at[own]] = vals[own]
+        fresh = ~own
+        if fresh.any():
+            self.keys = np.insert(self.keys, at[fresh], keys[fresh])
+            self.vals = np.insert(self.vals, at[fresh], vals[fresh])
 
 
 def execute_vectorized_block(
@@ -286,7 +336,8 @@ class _BlockExecutor:
         self.scalar_events: list = []
         #: per reduction array: (lane_sel, idx0_sel, contrib_sel, seq).
         self.redux_logs: dict[str, list] = {}
-        #: per scalar reduction: (lane_sel, contrib_sel, seq, form).
+        #: per scalar reduction: (lane_sel, contrib_sel, seq, form), where
+        #: form is ``(fold step, self operand first)``.
         self.scalar_redux_logs: dict[str, list] = {}
         self.private_states: dict[str, _PrivateState] = {}
 
@@ -407,13 +458,9 @@ class _BlockExecutor:
         state = self.private_states.get(name)
         if state is None:
             copies = self.privates[name]
-            if self.R * copies.size > _SCRATCH_CELL_CAP:
-                self._bail(
-                    f"private scratch for {name!r} exceeds the lane budget"
-                )
             # All per-processor rows are identical at loop entry (tiled
             # copy-in), so any row serves as the pre-block base image.
-            state = _PrivateState(copies.data[0].copy(), self.R)
+            state = _PrivateState(copies.data[0].copy())
             self.private_states[name] = state
         return state
 
@@ -426,7 +473,9 @@ class _BlockExecutor:
             vec = self._zeros(kind)
             env = self.proc_envs[self.procs_present[0]]
             initially_defined = name in env.scalars
-            if initially_defined:
+            # A scalar reduction's running value is folded at commit and
+            # never read per lane (its identity may be +-inf).
+            if initially_defined and name not in self.scalar_reductions:
                 try:
                     vec[:] = env.scalars[name]
                 except (OverflowError, ValueError):
@@ -555,11 +604,10 @@ class _BlockExecutor:
         if route == "private":
             state = self._private_state(name)
             if full:
-                rows = self._rows_all
-                own = state.written[rows, idx0]
-                vec = np.where(
-                    own, state.scratch[rows, idx0], state.base[idx0]
-                )
+                own, at = state.lookup(self._rows_all * state.size + idx0)
+                vec = state.base[idx0]
+                if own.any():
+                    vec = np.where(own, state.vals[at], vec)
                 if vec.dtype != self._dtype_of(kind):
                     vec = vec.astype(self._dtype_of(kind))
                 base_sel = np.flatnonzero(~own)
@@ -568,12 +616,10 @@ class _BlockExecutor:
             else:
                 sel = self._sel_of(mask)
                 vec = self._zeros(kind)
-                own = np.zeros(self.R, dtype=bool)
                 if sel.size:
-                    own[sel] = state.written[sel, idx0[sel]]
-                    own_sel = np.flatnonzero(own)
-                    vec[own_sel] = state.scratch[own_sel, idx0[own_sel]]
-                    base_sel = np.flatnonzero(mask & ~own)
+                    own, at = state.lookup(sel * state.size + idx0[sel])
+                    vec[sel[own]] = state.vals[at[own]]
+                    base_sel = sel[~own]
                     if base_sel.size:
                         vec[base_sel] = state.base[idx0[base_sel]]
                         state.base_reads.append((base_sel, idx0[base_sel]))
@@ -713,6 +759,8 @@ class _BlockExecutor:
             if np.any(v[mask] < 0):
                 self._bail("sqrt of a negative value in the block")
             return np.sqrt(np.where(v < 0, 0.0, v)), "real"
+        if func in ("exp", "log", "sin", "cos"):
+            return self._apply_libm(func, args[0], mask), "real"
         if func == "floor":
             (x,) = args
             if x.kind == "integer":
@@ -770,6 +818,24 @@ class _BlockExecutor:
             return acc, args[0].kind
         self._bail(f"intrinsic {func!r} is not vectorizable")
 
+    def _apply_libm(self, func: str, x: _Val, mask) -> np.ndarray:
+        """``exp``/``log``/``sin``/``cos`` through the scalar engines' own
+        ``math.*`` call, once per active lane — exact by construction.
+        Masked-off lanes are never evaluated; a lane on which the scalar
+        engines would raise bails instead."""
+        sel = self._sel_of(mask)
+        out = np.zeros(self.R, dtype=np.float64)
+        if not sel.size:
+            return out
+        v = x.vec[sel]
+        if func == "log" and np.any(v <= 0):
+            self._bail("log of a non-positive value in the block")
+        try:
+            out[sel] = list(map(getattr(math, func), v.tolist()))
+        except (OverflowError, ValueError) as exc:
+            self._bail(f"{func}() raises on an active lane ({exc})")
+        return out
+
     # -- statements ----------------------------------------------------------
 
     def exec_block(self, body: list[Stmt], mask: np.ndarray) -> None:
@@ -816,9 +882,7 @@ class _BlockExecutor:
                 state.assigned = state.assigned | mask
                 state.assigned_all = bool(state.assigned.all())
             if clear_taints:
-                state.atoms = _mask_atoms(state.atoms, ~mask) + _mask_atoms(
-                    val.atoms, mask
-                )
+                state.atoms = _blend_atoms(state.atoms, val.atoms, mask)
         if log:
             sel = self._sel_of(mask)
             if sel.size:
@@ -861,9 +925,10 @@ class _BlockExecutor:
         cast = self._cast_to_kind(val, kind, mask, f"store to {name!r}")
         sel = self._sel_of(mask)
         if sel.size:
-            state.scratch[sel, idx0[sel]] = cast[sel]
-            state.written[sel, idx0[sel]] = True
-            state.writes.append((sel, idx0[sel], cast[sel], self._next_seq()))
+            idx_sel = idx0[sel]
+            vals = cast[sel]
+            state.store(sel * state.size + idx_sel, vals)
+            state.writes.append((sel, idx_sel, vals, self._next_seq()))
         if name in self.tested:
             self._emit(name, idx0, mask, KIND_WRITE)
 
@@ -932,27 +997,35 @@ class _BlockExecutor:
             self._emit(name, idx0, mask, KIND_REDUX, opcode)
 
     def _exec_scalar_reduction(self, stmt: Assign, mask: np.ndarray) -> None:
-        """A direct scalar reduction ``s = s op rest`` (validated): the
-        contribution is logged for a per-processor exec-order fold; the
-        running value is never materialized per lane."""
+        """A direct scalar reduction ``s = s op rest`` or ``s = max(s,
+        rest)`` / ``min`` (validated): the contribution is logged for a
+        per-processor exec-order fold; the running value is never
+        materialized per lane."""
         name = stmt.target.name
         expr = stmt.expr
-        self._charge("flops", mask)  # the update's BinOp
+        if isinstance(expr, Call):
+            self._charge("intrinsics", mask)  # the update's min/max
+            operands = expr.args
+            op = expr.func
+        else:
+            self._charge("flops", mask)  # the update's BinOp
+            operands = (expr.left, expr.right)
+            op = expr.op
         state = self._scalar_state(name)
         atoms: tuple = ()
         rest_val = None
         form = None
-        for side, operand in (("l", expr.left), ("r", expr.right)):
+        for side, operand in zip("lr", operands):
             if isinstance(operand, Var) and operand.name == name and form is None:
                 # the self read: charged, taints propagate, value folded.
                 self._charge("scalar_ops", mask)
                 atoms = _merge_atoms(atoms, state.atoms)
-                form = f"s{expr.op}r" if side == "l" else f"r{expr.op}s"
+                form = (_SCALAR_FOLDS[op], side == "l")
             else:
                 rest_val = self.eval_expr(operand, mask)
                 atoms = _merge_atoms(atoms, rest_val.atoms)
         self._charge("scalar_ops", mask)  # the assignment itself
-        state.atoms = _mask_atoms(state.atoms, ~mask) + _mask_atoms(atoms, mask)
+        state.atoms = _blend_atoms(state.atoms, atoms, mask)
         state.assigned = state.assigned | mask
         sel = self._sel_of(mask)
         if sel.size:
@@ -1090,7 +1163,7 @@ class _BlockExecutor:
         been written by an *earlier* iteration of the same virtual
         processor — that value would be carried, which the lanes cannot
         see.  (Same-iteration reads were forwarded from the lane's own
-        scratch row and never reach the base.)"""
+        stores and never reach the base.)"""
         for name, state in self.private_states.items():
             if not state.base_reads or not state.writes:
                 continue
@@ -1189,30 +1262,26 @@ class _BlockExecutor:
                  for sel, _c, seq, _f in events]
             )
             contribs = np.concatenate([c for _s, c, _q, _f in events])
-            forms = np.concatenate(
+            event_of = np.concatenate(
                 [np.full(sel.size, i, dtype=_I64)
                  for i, (sel, _c, _q, _f) in enumerate(events)]
             )
-            form_of = [f for _s, _c, _q, f in events]
-            int_contrib = contribs.dtype == _I64
+            forms = [form for _s, _c, _q, form in events]
             order = np.lexsort((seqs, self.row_rank[rows]))
             totals = {
                 p: self.proc_envs[p].scalars[name] for p in self.procs_present
             }
-            for at in order:
-                p = int(self.proc_of[rows[at]])
-                c = contribs[at]
-                c = int(c) if int_contrib else float(c)
-                form = form_of[int(forms[at])]
+            # tolist() yields the Python ints/floats the scalar engines
+            # hold; each step applies their own operand order, so
+            # min/max first-wins ties and NaN handling follow it.
+            for p, c, event in zip(
+                self.proc_of[rows[order]].tolist(),
+                contribs[order].tolist(),
+                event_of[order].tolist(),
+            ):
+                fold, self_first = forms[event]
                 total = totals[p]
-                if form == "s+r" or form == "r+s":
-                    total = total + c if form == "s+r" else c + total
-                elif form == "s-r":
-                    total = total - c
-                elif form == "s*r":
-                    total = total * c
-                else:  # "r*s"
-                    total = c * total
+                total = fold(total, c) if self_first else fold(c, total)
                 totals[p] = as_kind(total)
             for p, total in totals.items():
                 self.proc_envs[p].scalars[name] = total

@@ -47,16 +47,20 @@ class TestPaperWorkloads:
         [(build_track, "exp"), (build_adm, "sin")],
         ids=["track", "adm"],
     )
-    def test_inexact_intrinsics_rejected(self, build, intrinsic):
+    def test_transcendental_intrinsics_accepted(self, build, intrinsic):
+        # exp/sin run through math.* per active lane: exact by
+        # construction, so they no longer cost the loop its lowering.
+        assert intrinsic in SAFE_INTRINSICS
         decision = classify_workload(build())
-        assert not decision.ok
-        assert intrinsic in decision.reason
-        assert "bit-exact" in decision.reason
+        assert decision.ok, decision.reason
 
-    def test_dyfesm_rejected_for_indirect_scalar_reduction(self):
-        decision = classify_workload(build_dyfesm())
-        assert not decision.ok
-        assert "scalar reduction" in decision.reason
+    def test_dyfesm_accepted_with_max_scalar_reduction(self):
+        workload = build_dyfesm()
+        program = workload.program()
+        plan = build_plan(program)
+        assert plan.scalar_reductions == {"bmax": "max"}
+        decision = classify_loop(program, plan.loop, plan)
+        assert decision.ok, decision.reason
 
 
 class TestSyntheticShapes:
@@ -78,10 +82,32 @@ class TestSyntheticShapes:
     def test_unsafe_intrinsic_rejected(self):
         decision = classify_source(
             "program p\n  integer i, n, idx(8)\n  real a(8), v(8)\n"
-            "  do i = 1, n\n    a(idx(i)) = exp(v(i))\n  end do\nend\n"
+            "  do i = 1, n\n    a(idx(i)) = v(i) ** 2.0\n  end do\nend\n"
         )
         assert not decision.ok
-        assert "exp" in decision.reason
+        assert "**" in decision.reason
+
+    @pytest.mark.parametrize(
+        "update",
+        ["s = max(s, v(i))", "s = max(v(i), s)", "s = min(s, v(i))",
+         "s = min(v(i), s)"],
+        ids=["max-self-first", "max-self-last", "min-self-first",
+             "min-self-last"],
+    )
+    def test_min_max_scalar_reduction_forms_accepted(self, update):
+        decision = classify_source(
+            "program p\n  integer i, n\n  real v(8), s\n"
+            f"  do i = 1, n\n    {update}\n  end do\nend\n"
+        )
+        assert decision.ok, decision.reason
+
+    def test_mixed_kind_max_scalar_reduction_rejected(self):
+        decision = classify_source(
+            "program p\n  integer i, n, k(8)\n  real s\n"
+            "  do i = 1, n\n    s = max(s, k(i))\n  end do\nend\n"
+        )
+        assert not decision.ok
+        assert "mixed integer/real" in decision.reason
 
     def test_untested_shared_store_rejected(self):
         # An affine store needs no speculation, so the array is neither
@@ -97,7 +123,7 @@ class TestSyntheticShapes:
     def test_decision_is_falsy_on_reject(self):
         decision = classify_source(
             "program p\n  integer i, n, idx(8)\n  real a(8), v(8)\n"
-            "  do i = 1, n\n    a(idx(i)) = exp(v(i))\n  end do\nend\n"
+            "  do i = 1, n\n    a(idx(i)) = v(i) ** 2.0\n  end do\nend\n"
         )
         assert bool(decision) is False
         assert bool(classify_source(

@@ -138,11 +138,14 @@ SPEC_TEMPLATE = f"""
 program randspec
   integer i, n
   integer w({SPEC_N}), r({SPEC_N}), ridx({SPEC_N})
-  real a({SPEC_SIZE}), s({SPEC_SIZE}), v({SPEC_N}), x
+  real a({SPEC_SIZE}), s({SPEC_SIZE}), v({SPEC_N}), x, y, hi, lo
   do i = 1, n
     x = a(r(i)) + v(i)
-    a(w(i)) = x * 0.5
+    y = exp(x * 0.5) + sin(x) - log(abs(x) + 1.0) * cos(v(i))
+    a(w(i)) = y * 0.5
     s(ridx(i)) = s(ridx(i)) + x
+    hi = max(hi, y)
+    lo = min(x, lo)
   end do
 end
 """
@@ -161,9 +164,12 @@ def test_speculative_engines_agree(w, r, ridx, eager):
     The random w/r vectors produce passing runs (disjoint, privatizable)
     and failing ones (cross-iteration flow dependences) — with ``eager``
     the latter abort mid-doall, exercising the batched-marking engine's
-    small-buffer replay path.  Every observable must match: LRPD result
-    (per-array tw/tm/failed elements), simulated time breakdown, run
-    stats (marks, iterations, aborted_after) and the post-loop memory.
+    small-buffer replay path.  The body also carries exp/sin/log/cos
+    terms and ``max``/``min`` scalar reductions in both operand orders.
+    Every observable must match: LRPD result (per-array tw/tm/failed
+    elements), simulated time breakdown, run stats (marks, iterations,
+    aborted_after) and the post-loop memory, scalars compared by repr so
+    a -0.0/0.0 difference counts.
     """
     source = SPEC_TEMPLATE
     inputs = {
@@ -175,6 +181,9 @@ def test_speculative_engines_agree(w, r, ridx, eager):
         "a": np.linspace(-1.0, 1.0, SPEC_SIZE),
         "s": np.zeros(SPEC_SIZE),
         "x": 0.0,
+        "y": 0.0,
+        "hi": -10.0,
+        "lo": 10.0,
     }
 
     outcomes = {}
@@ -200,7 +209,9 @@ def test_speculative_engines_agree(w, r, ridx, eager):
         assert walk.run.aborted == other.run.aborted
         assert walk.run.executed_iterations == other.run.executed_iterations
         assert walk.run.iteration_costs == other.run.iteration_costs
-        assert envs["walk"].scalars == envs[engine].scalars
+        assert {k: repr(v) for k, v in envs["walk"].scalars.items()} == {
+            k: repr(v) for k, v in envs[engine].scalars.items()
+        }
         for name in ("a", "s"):
             np.testing.assert_array_equal(
                 envs["walk"].arrays[name], envs[engine].arrays[name]

@@ -29,10 +29,13 @@ from repro.runtime.engines import (
 from repro.runtime.engines.planner import EnginePlanner
 from repro.runtime.orchestrator import LoopRunner, RunConfig, Strategy
 from repro.runtime.serial import run_serial
+from repro.workloads.adm import build_adm
 from repro.workloads.bdna import build_bdna
+from repro.workloads.dyfesm import build_dyfesm
 from repro.workloads.mdg import build_mdg
 from repro.workloads.ocean import build_ocean
 from repro.workloads.spice import build_spice
+from repro.workloads.synthetic import build_conditional_dead_reads
 from repro.workloads.track import build_track
 
 from tests.runtime.test_vectorized_engine import (
@@ -212,6 +215,9 @@ class TestPlanner:
             pytest.param(lambda: build_bdna(n=120), id="bdna"),
             pytest.param(lambda: build_mdg(n=80), id="mdg"),
             pytest.param(lambda: build_ocean(nk=150), id="ocean"),
+            pytest.param(lambda: build_adm(n=150), id="adm"),
+            pytest.param(lambda: build_track(n=150), id="track"),
+            pytest.param(lambda: build_dyfesm(n=150), id="dyfesm"),
         ],
     )
     def test_classifier_accepted_loops_pick_vectorized(self, build):
@@ -223,7 +229,7 @@ class TestPlanner:
         "build",
         [
             pytest.param(lambda: build_spice(n=80), id="spice"),
-            pytest.param(lambda: build_track(n=150), id="track"),
+            pytest.param(build_conditional_dead_reads, id="conditional_dead_reads"),
         ],
     )
     def test_classifier_rejected_loops_pick_compiled(self, build):
@@ -308,6 +314,32 @@ class TestAutoEngine:
         assert auto.engine_used == "vectorized"
         assert auto.times.as_dict() == ref.times.as_dict()
         assert auto.stats == ref.stats
+        for name in ref.env.arrays:
+            np.testing.assert_array_equal(
+                ref.env.arrays[name], auto.env.arrays[name]
+            )
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: build_adm(n=120), id="adm"),
+            pytest.param(lambda: build_track(n=150), id="track"),
+            pytest.param(lambda: build_dyfesm(n=120), id="dyfesm"),
+        ],
+    )
+    def test_cold_runner_commits_whole_block(self, build):
+        """exp/sin and a max scalar reduction no longer cost these
+        loops the whole-block engine: a cold auto run commits it, with
+        the compiled engine's observables."""
+        ref = self._report(build, "compiled")
+        auto = self._report(build, "auto")
+        assert auto.engine_used == "vectorized"
+        assert auto.fallbacks == []
+        ((_loop_key, reason),) = auto.engine_decisions
+        assert "classifier accepted" in reason
+        assert auto.times.as_dict() == ref.times.as_dict()
+        assert auto.stats == ref.stats
+        assert auto.env.scalars == ref.env.scalars
         for name in ref.env.arrays:
             np.testing.assert_array_equal(
                 ref.env.arrays[name], auto.env.arrays[name]
