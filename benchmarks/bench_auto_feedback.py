@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from conftest import calibrate, run_once, write_bench_json
+from conftest import calibrate, paired_min_wall, run_once, write_bench_json
 from repro.machine.costmodel import fx80
 from repro.runtime.orchestrator import LoopRunner, RunConfig, Strategy
 from repro.runtime.profile import LoopProfileStore
@@ -74,12 +74,12 @@ def test_auto_feedback_mixed_workload(benchmark, artifact):
                 for _ in range(TRAIN_RUNS):
                     runner.run(Strategy.SPECULATIVE, _config(engine))
 
-            # Measure in interleaved rounds (auto alongside every fixed
-            # engine each round) so clock drift cannot bias one side.
-            walls = {engine: [] for engine in CANDIDATES + ("auto",)}
+            # Rank the fixed engines in interleaved rounds so clock
+            # drift cannot bias one of them.
+            walls = {engine: [] for engine in CANDIDATES}
             reports = {}
             for _ in range(ROUNDS):
-                for engine in CANDIDATES + ("auto",):
+                for engine in CANDIDATES:
                     wall, report = _timed_run(runner, engine)
                     walls[engine].append(wall)
                     reports[engine] = report
@@ -89,7 +89,17 @@ def test_auto_feedback_mixed_workload(benchmark, artifact):
             }
             for engine, (_wall, report) in fixed.items():
                 assert report.passed, f"{name}/{engine} failed the LRPD test"
-            results[name] = (fixed, min(walls["auto"]), reports["auto"])
+            # Then time warmed auto against the best of them head to
+            # head: the two alternate round by round and each keeps its
+            # best of ROUNDS, so neither side always runs after the slow
+            # walker and one hiccup cannot fail the tolerance check.
+            best_engine = min(fixed, key=lambda e: fixed[e][0])
+            best, auto = paired_min_wall(
+                lambda: runner.run(Strategy.SPECULATIVE, _config(best_engine)),
+                lambda: runner.run(Strategy.SPECULATIVE, _config("auto")),
+                rounds=ROUNDS,
+            )
+            results[name] = (fixed, best_engine, best, auto)
         return calibration_s, results
 
     calibration_s, results = run_once(benchmark, measure)
@@ -100,10 +110,9 @@ def test_auto_feedback_mixed_workload(benchmark, artifact):
     ]
     entries = {}
     auto_total = best_total = worst_total = 0.0
-    for name, (fixed, auto_wall, auto_report) in results.items():
-        best_engine = min(fixed, key=lambda e: fixed[e][0])
+    for name, (fixed, best_engine, best, auto) in results.items():
+        (best_wall, _best_report), (auto_wall, auto_report) = best, auto
         worst_engine = max(fixed, key=lambda e: fixed[e][0])
-        best_wall = fixed[best_engine][0]
         worst_wall = fixed[worst_engine][0]
         auto_total += auto_wall
         best_total += best_wall

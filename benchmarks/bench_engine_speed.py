@@ -5,14 +5,20 @@ Not a paper artifact: measures this repository's execution engines
 on the serial run and on the full speculative protocol.  The compiled
 engines must produce bit-identical simulated times, test outcomes and
 memory state — the only thing allowed to differ is the real wall clock.
-Both engines are timed the same way (best of ``ROUNDS`` runs each) so
-the comparison is fair: neither side gets warm-cache rounds the other
-does not.
+The two engines of every comparison run alternately, round by round,
+and each side keeps its best of ``ROUNDS`` (``paired_min_wall``), so a
+scheduler hiccup on one side cannot fail a ratio gate.
 """
 
 import numpy as np
 
-from conftest import calibrate, min_wall, run_once, write_bench_json
+from conftest import (
+    calibrate,
+    min_wall,
+    paired_min_wall,
+    run_once,
+    write_bench_json,
+)
 from repro.analysis.instrument import build_plan
 from repro.dsl.parser import parse
 from repro.interp.env import Environment
@@ -27,7 +33,7 @@ from repro.workloads.bdna import build_bdna
 from repro.workloads.synthetic import build_synthdoacross
 from repro.workloads.track import build_track
 
-ROUNDS = 3
+ROUNDS = 7
 PROCS = 8
 
 
@@ -52,13 +58,11 @@ def test_engine_speed_serial(benchmark, artifact):
     program = parse(workload.source)
 
     def measure():
-        walk = min_wall(
-            lambda: run_serial(program, workload.inputs, fx80(), engine="walk")
+        return paired_min_wall(
+            lambda: run_serial(program, workload.inputs, fx80(), engine="walk"),
+            lambda: run_serial(program, workload.inputs, fx80(), engine="compiled"),
+            rounds=ROUNDS,
         )
-        fast = min_wall(
-            lambda: run_serial(program, workload.inputs, fx80(), engine="compiled")
-        )
-        return walk, fast
 
     (walk_wall, walk_run), (fast_wall, fast_run) = run_once(benchmark, measure)
 
@@ -106,8 +110,10 @@ def test_engine_speed_speculative(benchmark, artifact):
 
     def measure():
         calibration_s = calibrate()
-        walk = min_wall(lambda: speculative("walk"))
-        fast = min_wall(lambda: speculative("compiled"))
+        walk, fast = paired_min_wall(
+            lambda: speculative("walk"), lambda: speculative("compiled"),
+            rounds=ROUNDS,
+        )
         return calibration_s, walk, fast
 
     calibration_s, (walk_wall, (walk_out, walk_env)), (fast_wall, (fast_out, fast_env)) = (
@@ -171,8 +177,10 @@ def test_engine_speed_vectorized(benchmark, artifact):
 
     def measure():
         calibration_s = calibrate()
-        fast = min_wall(lambda: speculative("compiled"), rounds=5)
-        vec = min_wall(lambda: speculative("vectorized"), rounds=5)
+        fast, vec = paired_min_wall(
+            lambda: speculative("compiled"), lambda: speculative("vectorized"),
+            rounds=ROUNDS,
+        )
         return calibration_s, fast, vec
 
     calibration_s, (fast_wall, (fast_out, fast_env)), (vec_wall, (vec_out, vec_env)) = (
@@ -196,7 +204,7 @@ def test_engine_speed_vectorized(benchmark, artifact):
         "\n".join(
             [
                 f"Execution engines on BDNA n=800 "
-                f"(speculative protocol, p={PROCS}, best of 5)",
+                f"(speculative protocol, p={PROCS}, best of {ROUNDS})",
                 f"compiled engine  : {fast_wall * 1000:8.1f} ms wall clock",
                 f"vectorized engine: {vec_wall * 1000:8.1f} ms wall clock "
                 f"({ratio:.2f}x)",
@@ -246,8 +254,10 @@ def test_engine_speed_transcendental(benchmark, artifact):
 
     def measure():
         calibration_s = calibrate()
-        fast = min_wall(lambda: speculative("compiled"), rounds=5)
-        vec = min_wall(lambda: speculative("vectorized"), rounds=5)
+        fast, vec = paired_min_wall(
+            lambda: speculative("compiled"), lambda: speculative("vectorized"),
+            rounds=ROUNDS,
+        )
         return calibration_s, fast, vec
 
     calibration_s, (fast_wall, (fast_out, fast_env)), (vec_wall, (vec_out, vec_env)) = (
@@ -268,7 +278,7 @@ def test_engine_speed_transcendental(benchmark, artifact):
         "\n".join(
             [
                 f"Execution engines on TRACK n={len(workload.inputs['data'])} "
-                f"(speculative protocol, p={PROCS}, best of 5)",
+                f"(speculative protocol, p={PROCS}, best of {ROUNDS})",
                 f"compiled engine  : {fast_wall * 1000:8.1f} ms wall clock",
                 f"vectorized engine: {vec_wall * 1000:8.1f} ms wall clock "
                 f"({ratio:.2f}x)",
@@ -317,8 +327,10 @@ def test_engine_speed_auto(benchmark, artifact):
 
     def measure():
         calibration_s = calibrate()
-        vec = min_wall(lambda: speculative("vectorized"), rounds=5)
-        auto = min_wall(lambda: speculative("auto"), rounds=5)
+        vec, auto = paired_min_wall(
+            lambda: speculative("vectorized"), lambda: speculative("auto"),
+            rounds=ROUNDS,
+        )
         return calibration_s, vec, auto
 
     calibration_s, (vec_wall, (vec_out, vec_env)), (auto_wall, (auto_out, auto_env)) = (
@@ -339,7 +351,7 @@ def test_engine_speed_auto(benchmark, artifact):
         "\n".join(
             [
                 f"Auto engine selection on BDNA n=800 "
-                f"(speculative protocol, p={PROCS}, best of 5)",
+                f"(speculative protocol, p={PROCS}, best of {ROUNDS})",
                 f"explicit vectorized: {vec_wall * 1000:8.1f} ms wall clock",
                 f"auto (planner)     : {auto_wall * 1000:8.1f} ms wall clock "
                 f"({overhead:.2f}x)",
@@ -384,7 +396,7 @@ def test_engine_speed_fresh_runner(benchmark, artifact):
 
     def measure():
         calibration_s = calibrate()
-        return calibration_s, min_wall(fresh_run, rounds=5)
+        return calibration_s, min_wall(fresh_run, rounds=ROUNDS)
 
     calibration_s, (wall, report) = run_once(benchmark, measure)
     oracle = run_serial(program, workload.inputs, config.model, engine="walk")
@@ -401,7 +413,7 @@ def test_engine_speed_fresh_runner(benchmark, artifact):
         "\n".join(
             [
                 f"Fresh LoopRunner on BDNA n=800 "
-                f"(speculative, vectorized, p={PROCS}, best of 5)",
+                f"(speculative, vectorized, p={PROCS}, best of {ROUNDS})",
                 f"end to end       : {wall * 1000:8.1f} ms wall clock",
                 f"engine used      : {report.engine_used}",
                 f"LRPD passed      : {report.passed}",
@@ -438,7 +450,7 @@ def test_engine_speed_rollback(benchmark, artifact):
 
     def measure():
         calibration_s = calibrate()
-        return calibration_s, min_wall(fresh_run, rounds=5)
+        return calibration_s, min_wall(fresh_run, rounds=ROUNDS)
 
     calibration_s, (wall, report) = run_once(benchmark, measure)
     oracle = run_serial(program, workload.inputs, config.model, engine="walk")
@@ -455,7 +467,7 @@ def test_engine_speed_rollback(benchmark, artifact):
         "\n".join(
             [
                 f"Fresh LoopRunner on SYNTH_DOACROSS n=400 "
-                f"(speculative, vectorized, p={PROCS}, best of 5)",
+                f"(speculative, vectorized, p={PROCS}, best of {ROUNDS})",
                 f"end to end       : {wall * 1000:8.1f} ms wall clock",
                 f"LRPD passed      : {report.passed}",
                 f"serial re-run    : {report.times.serial_rerun:.1f} cycles "
@@ -474,3 +486,81 @@ def test_engine_speed_rollback(benchmark, artifact):
     assert report.env.arrays.keys() == oracle.env.arrays.keys()
     for name, expected in oracle.env.arrays.items():
         assert report.env.arrays[name].tobytes() == expected.tobytes(), name
+
+
+def test_engine_speed_small_trip(benchmark, artifact):
+    """``auto`` on a small-trip loop: BDNA n=120, 120 iterations.
+
+    This is the loop the retired worker backends were gated on.  The
+    planner must commit it whole-block on ``vectorized`` with no
+    fallback, single-process, and every observable — verdict, simulated
+    times, stats, shadow marks and post-loop memory — must match the
+    compiled engine bit for bit.
+    """
+    workload = build_bdna(n=120)
+    program = parse(workload.source)
+    plan = build_plan(program)
+    loop = plan.loop
+    before, _after = split_at_loop(program, loop)
+
+    def speculative(engine: str):
+        env = Environment(program, workload.inputs)
+        Interpreter(program, env, value_based=False).exec_block(before)
+        sim = DoallSimulator(fx80().with_procs(PROCS), ScheduleKind.BLOCK)
+        outcome = run_speculative(program, loop, env, plan, sim, engine=engine)
+        return outcome, _env_state(env)
+
+    def measure():
+        calibration_s = calibrate()
+        fast, auto = paired_min_wall(
+            lambda: speculative("compiled"), lambda: speculative("auto"),
+            rounds=ROUNDS,
+        )
+        return calibration_s, fast, auto
+
+    calibration_s, (fast_wall, (fast_out, fast_env)), (auto_wall, (auto_out, auto_env)) = (
+        run_once(benchmark, measure)
+    )
+    ratio = fast_wall / auto_wall
+
+    write_bench_json(
+        "engine_speed",
+        calibration_s,
+        {"bdna_small_auto": auto_wall},
+        extra={"compiled_over_auto_small_trip": ratio},
+        merge=True,
+    )
+
+    artifact(
+        "engine_speed_small_trip",
+        "\n".join(
+            [
+                f"Small-trip BDNA n=120 "
+                f"(speculative protocol, p={PROCS}, best of {ROUNDS})",
+                f"compiled engine: {fast_wall * 1000:8.1f} ms wall clock",
+                f"auto (planner) : {auto_wall * 1000:8.1f} ms wall clock "
+                f"({ratio:.2f}x)",
+                f"planner picked : {auto_out.run.engine_used} "
+                f"({auto_out.run.engine_decision})",
+                f"identical simulated times : {fast_out.times == auto_out.times}",
+            ]
+        ),
+    )
+
+    # The planner must commit the block — no fallback to compiled.
+    assert auto_out.run.engine_used == "vectorized"
+    assert auto_out.run.fallback_reason is None
+    # Bit-identical simulated protocol under both engines.
+    assert fast_out.result == auto_out.result
+    assert fast_out.result.passed
+    assert fast_out.times == auto_out.times
+    assert fast_out.stats == auto_out.stats
+    assert fast_out.run.iteration_costs == auto_out.run.iteration_costs
+    for name, shadow in fast_out.run.marker.shadows.items():
+        other = auto_out.run.marker.shadows[name]
+        assert (shadow.tw, shadow.tm) == (other.tw, other.tm), name
+        for field in ("w", "r", "np_", "nx", "redux_touched", "multi_w"):
+            assert np.array_equal(
+                getattr(shadow, field), getattr(other, field)
+            ), f"{name}.{field}"
+    _assert_same_env(fast_env, auto_env)

@@ -1,19 +1,17 @@
-"""CI lint gate: no string-literal engine/backend dispatch outside
-their registries, and no loop-memory caches constructed outside the
-profile package.
+"""CI lint gate: no string-literal engine dispatch outside the engine
+registry, and no loop-memory caches constructed outside the profile
+package.
 
 The execution-engine refactor funneled every ``engine == "..."``
 comparison through :mod:`repro.runtime.engines` (capability queries and
-registry lookups), and the worker-pool backends likewise compare
-``backend`` names only inside :mod:`repro.runtime.parallel_backend`
-(``validate_backend`` / ``make_worker_pool``).  The profile-store
+registry lookups).  The profile-store
 refactor did the same for the runtime's cross-run memory: the verdict
 cache (``ScheduleCache``) is an internal component of
 :mod:`repro.runtime.profile` and may only be constructed there —
 everyone else goes through a
 :class:`~repro.runtime.profile.LoopProfileStore`.  This check keeps it
-that way: it fails when a string-literal engine or backend comparison,
-or a direct cache construction, reappears anywhere else under
+that way: it fails when a string-literal engine comparison, or a
+direct cache construction, reappears anywhere else under
 ``src/repro``, so dispatch and loop memory cannot quietly re-scatter
 across call sites.
 
@@ -35,12 +33,6 @@ import sys
 PATTERNS = (
     re.compile(r"""\bengine\s*[=!]=\s*["']"""),
     re.compile(r"""["'][A-Za-z_]+["']\s*[=!]=\s*\w*\.?engine\b"""),
-)
-
-#: a string literal compared against something called ``backend``.
-BACKEND_PATTERNS = (
-    re.compile(r"""\bbackend\s*[=!]=\s*["']"""),
-    re.compile(r"""["'][A-Za-z_]+["']\s*[=!]=\s*\w*\.?backend\b"""),
 )
 
 #: direct construction of the profile store's internal caches.
@@ -73,21 +65,17 @@ FRONTEND_PATTERNS = (
 
 #: direct construction of engines, worker pools or shadow arenas — the
 #: service layer must stay a pure front end over the orchestrator, so
-#: every engine comes from the registry and every pool from
-#: ``make_worker_pool`` / a :class:`WorkerPoolCache`.  (``WorkerPool(``
-#: deliberately does not match ``WorkerPoolCache(``.)
+#: every engine comes from the registry and every pool from a
+#: :class:`WorkerPoolCache` the orchestrator draws on.
 SERVICE_PATTERNS = (
     re.compile(r"\b[A-Z]\w*Engine\s*\("),
-    re.compile(r"\b(?:Thread)?WorkerPool\s*\("),
-    re.compile(r"\b(?:Shared|Thread)ShadowArena\s*\("),
+    re.compile(r"\bThreadWorkerPool\s*\("),
+    re.compile(r"\bThreadShadowArena\s*\("),
     re.compile(r"\brun_parallel_doall\s*\("),
 )
 
 #: the one place engine names may be compared/declared.
 ALLOWED = pathlib.PurePosixPath("repro/runtime/engines")
-
-#: the one module backend names may be compared/declared in.
-BACKEND_ALLOWED = pathlib.PurePosixPath("repro/runtime/parallel_backend.py")
 
 #: the one package the schedule cache may be constructed in.
 CACHE_ALLOWED = pathlib.PurePosixPath("repro/runtime/profile")
@@ -112,14 +100,13 @@ def lint(root: pathlib.Path) -> list[str]:
     for path in sorted(root.rglob("*.py")):
         relative = pathlib.PurePosixPath("repro") / path.relative_to(root)
         check_engine = ALLOWED not in relative.parents
-        check_backend = relative != BACKEND_ALLOWED
         check_cache = CACHE_ALLOWED not in relative.parents
         check_service = SERVICE_CHECKED in relative.parents
         check_frontend = not any(
             allowed in relative.parents for allowed in FRONTEND_ALLOWED
         )
         if not (
-            check_engine or check_backend or check_cache
+            check_engine or check_cache
             or check_service or check_frontend
         ):
             continue
@@ -129,9 +116,6 @@ def lint(root: pathlib.Path) -> list[str]:
             engine_hit = check_engine and any(
                 pattern.search(line)
                 for pattern in PATTERNS + RECOVERY_PATTERNS
-            )
-            backend_hit = check_backend and any(
-                pattern.search(line) for pattern in BACKEND_PATTERNS
             )
             cache_hit = check_cache and any(
                 pattern.search(line) for pattern in CACHE_PATTERNS
@@ -143,7 +127,7 @@ def lint(root: pathlib.Path) -> list[str]:
                 pattern.search(line) for pattern in FRONTEND_PATTERNS
             )
             if (
-                engine_hit or backend_hit or cache_hit
+                engine_hit or cache_hit
                 or service_hit or frontend_hit
             ):
                 hits.append(f"{path}:{lineno}: {line.strip()}")
@@ -153,8 +137,8 @@ def lint(root: pathlib.Path) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Fail on string-literal engine comparisons outside "
-        "repro/runtime/engines and backend comparisons outside "
-        "repro/runtime/parallel_backend.py."
+        "repro/runtime/engines, direct cache construction outside "
+        "repro/runtime/profile and the other dispatch rules below."
     )
     parser.add_argument(
         "--root", type=pathlib.Path, default=pathlib.Path("src/repro"),
@@ -169,11 +153,10 @@ def main(argv: list[str] | None = None) -> int:
     hits = lint(args.root)
     if hits:
         print(
-            f"{len(hits)} violation(s): string-literal engine/backend "
-            f"comparisons belong in their registries (use "
-            f"repro.runtime.engines capability queries or "
-            f"repro.runtime.parallel_backend's validate_backend/"
-            f"make_worker_pool), Strategy.DOACROSS_RECOVERY and "
+            f"{len(hits)} violation(s): string-literal engine "
+            f"comparisons belong in the registry (use "
+            f"repro.runtime.engines capability queries), "
+            f"Strategy.DOACROSS_RECOVERY and "
             f"'doacross_recovery' may not be compared against outside "
             f"repro/runtime/engines (route through the orchestrator's "
             f"strategy table and recovery_engine()), "
@@ -190,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {hit}", file=sys.stderr)
         return 1
     print(
-        "engine/backend dispatch and profile-cache construction clean: "
+        "engine dispatch and profile-cache construction clean: "
         "no violations outside the registries"
     )
     return 0

@@ -11,7 +11,7 @@ the gate portable across runner hardware generations.
 
     python benchmarks/check_regression.py \
         benchmarks/artifacts/BENCH_engine_speed.json \
-        benchmarks/artifacts/BENCH_parallel.json \
+        benchmarks/artifacts/BENCH_auto_feedback.json \
         --baseline benchmarks/baselines/bench_baseline.json
 
 Entries present in the current run but absent from the baseline are

@@ -43,9 +43,8 @@ def calibrate(rounds: int = 3) -> float:
 def min_wall(fn, rounds: int = 3):
     """Best-of-``rounds`` wall clock and the last round's result.
 
-    Both sides of every engine/backend comparison are timed this way so
-    the comparison is fair: neither side gets warm-cache rounds the
-    other does not, and one scheduler hiccup cannot fake a regression.
+    One scheduler hiccup costs one round, not the measurement.  Two
+    sides of a comparison are timed with :func:`paired_min_wall`.
     """
     best = None
     result = None
@@ -56,6 +55,25 @@ def min_wall(fn, rounds: int = 3):
         if best is None or elapsed < best:
             best = elapsed
     return best, result
+
+
+def paired_min_wall(fn_a, fn_b, rounds: int = 5):
+    """Best-of-``rounds`` wall clock of two sides, alternated round by round.
+
+    Runs A, B, A, B, ... so both sides see the same machine state in
+    every round and neither gets warm-cache rounds the other does not; a
+    scheduler hiccup slows one round of one side, and the best of
+    ``rounds`` discards it.  Returns ``((best_a, last_result_a),
+    (best_b, last_result_b))``.
+    """
+    walls: tuple[list[float], list[float]] = ([], [])
+    results = [None, None]
+    for _ in range(rounds):
+        for side, fn in enumerate((fn_a, fn_b)):
+            begin = time.perf_counter()
+            results[side] = fn()
+            walls[side].append(time.perf_counter() - begin)
+    return (min(walls[0]), results[0]), (min(walls[1]), results[1])
 
 
 def write_bench_json(

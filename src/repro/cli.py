@@ -106,25 +106,14 @@ def build_parser() -> argparse.ArgumentParser:
         choices=engine_names(),
         default=DEFAULT_ENGINE,
         help="doall iteration executor (walk = reference tree walker, "
-        "parallel = real worker processes with shared-memory shadows, "
         "vectorized = whole-block NumPy lowering with bulk marking; "
         "classifier-rejected loops fall back to compiled; auto = "
         "per-loop adaptive selection)",
     )
     run.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="worker processes for the worker-sharding engines "
-        "(default for parallel: one per usable core)",
-    )
-    from repro.runtime.parallel_backend import BACKENDS, DEFAULT_BACKEND
-
-    run.add_argument(
-        "--backend",
-        choices=list(BACKENDS),
-        default=DEFAULT_BACKEND,
-        help="worker-pool flavour for the worker-sharding engines "
-        "(fork = processes over shared-memory shadows, threads = "
-        "in-process workers with no fork or shared-memory setup)",
+        help="shard the vectorized lanes over N worker threads "
+        "(default: run single-process)",
     )
     run.add_argument(
         "--verbose", action="store_true",
@@ -421,7 +410,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         test_mode=TestMode(args.test_mode),
         engine=args.engine,
         workers=args.workers,
-        backend=args.backend,
         strip_size=args.strip_size,
         adaptive_strip_sizing=args.adaptive_strips,
         # A persistent profile exists to be reused: verdict lookups on.

@@ -23,7 +23,7 @@ by the machine model (see :mod:`repro.machine.simulator`).
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -85,25 +85,6 @@ class _StagedBatch:
     def __init__(self, **values: object):
         for name, value in values.items():
             setattr(self, name, value)
-
-
-#: the eleven per-element shadow buffers of a :class:`ShadowArray`, with
-#: their dtypes — the layout contract of buffer-backed construction
-#: (:meth:`ShadowArray.from_buffers`) and of the shared-memory arena the
-#: multiprocess backend maps worker shadows into.
-SHADOW_FIELDS: tuple[tuple[str, type], ...] = (
-    ("w", np.bool_),
-    ("r", np.bool_),
-    ("np_", np.bool_),
-    ("nx", np.bool_),
-    ("redux_touched", np.bool_),
-    ("multi_w", np.bool_),
-    ("_redux_op", np.int8),
-    ("_last_write", np.int64),
-    ("_min_write", np.int64),
-    ("_max_exposed_read", np.int64),
-    ("_min_exposed_read", np.int64),
-)
 
 
 class ShadowArray:
@@ -706,44 +687,11 @@ class ShadowArray:
         (:data:`_NEVER_WRITTEN` if none)."""
         return self._min_exposed_read
 
-    @classmethod
-    def from_buffers(
-        cls,
-        name: str,
-        size: int,
-        buffers: Mapping[str, np.ndarray],
-        *,
-        eager: bool = False,
-    ) -> "ShadowArray":
-        """Build a shadow whose per-element state lives in caller-owned
-        buffers (e.g. ``multiprocessing.shared_memory`` views).
-
-        ``buffers`` must provide one array per :data:`SHADOW_FIELDS` entry,
-        each of length ``size`` and the declared dtype.  The buffers are
-        adopted as-is (no copy) and immediately :meth:`reset`, so a worker
-        process marking into them exposes its shadow state to the parent
-        without any serialization.
-        """
-        shadow = cls.__new__(cls)
-        shadow.name = name
-        shadow.size = size
-        for field, dtype in SHADOW_FIELDS:
-            buf = buffers[field]
-            if buf.shape != (size,) or buf.dtype != np.dtype(dtype):
-                raise ValueError(
-                    f"shadow buffer {field!r} of {name!r}: expected "
-                    f"({size},) {np.dtype(dtype)}, got {buf.shape} {buf.dtype}"
-                )
-            setattr(shadow, field, buf)
-        shadow.tw = 0
-        shadow.reset(eager=eager)
-        return shadow
-
     def merge_from(self, parts: "Iterable[ShadowArray]") -> None:
         """The paper's cross-processor shadow merge, folded into ``self``.
 
-        Each worker of the multiprocess backend marks into its own shadow
-        set; afterwards the per-processor shadows are combined exactly as
+        Each thread-pool worker of a worker-sharded doall marks into its
+        own shadow set; afterwards the per-processor shadows are combined exactly as
         §III's parallel analysis phase prescribes — OR/union of the mark
         bits, sum of ``tw`` (granules partition across workers, so the
         per-(element, granule) write counts are disjoint), min/max of the
@@ -817,8 +765,8 @@ class ShadowMarker:
         shadows: dict[str, ShadowArray],
         granularity: Granularity = Granularity.ITERATION,
     ) -> "ShadowMarker":
-        """A marker over pre-built shadows (e.g. buffer-backed worker
-        shadows of the multiprocess backend) — no allocation."""
+        """A marker over pre-built shadows (e.g. one worker's shadow set
+        in a worker-sharded doall) — no allocation."""
         marker = cls.__new__(cls)
         marker.shadows = shadows
         marker.cost = CostCounter()

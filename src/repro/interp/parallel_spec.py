@@ -1,17 +1,18 @@
-"""Worker-side shard execution for the multiprocess speculative backend.
+"""Worker-side shard execution for the worker-sharded doall.
 
-The true-parallel doall (:mod:`repro.runtime.parallel_backend`) shards
-the *virtual processors* of a marked doall across real OS worker
-processes.  This module is the part that runs inside one worker: it owns
-a contiguous block of virtual processors, executes exactly the
-iterations the deterministic schedule assigned to them — in the same
-per-processor order the emulated executor uses — and records everything
-the parent needs to reconstruct a bit-identical
-:class:`~repro.runtime.doall.DoallRun`:
+The sharded doall (:mod:`repro.runtime.parallel_backend`) splits the
+*virtual processors* of a marked doall across thread-pool workers.  This
+module is the part that runs inside one worker: it owns a contiguous
+block of virtual processors, executes exactly the iterations the
+deterministic schedule assigned to them — whole-block through the
+vectorized lowering, or per-iteration on the compiled closures in the
+same per-processor order the emulated executor uses when the lowering
+bails — and records everything the parent needs to reconstruct a
+bit-identical :class:`~repro.runtime.doall.DoallRun`:
 
 * shadow marks go into the worker's own shadow set (the parent hands in
-  a :class:`~repro.core.shadow.ShadowMarker`, typically backed by
-  shared-memory views, so marks need no serialization at all);
+  a :class:`~repro.core.shadow.ShadowMarker` and merges it after the
+  join);
 * speculative array writes go to the owned processors' private copies
   and reduction partials, returned as per-processor rows/maps;
 * writes to untransformed (shared) arrays are tracked as a diff against
@@ -20,10 +21,9 @@ the parent needs to reconstruct a bit-identical
   engine brackets them, including the discarded bracket of an eagerly
   aborted iteration.
 
-Everything here is deliberately single-process and deterministic — the
-module has no multiprocessing dependency, which is what lets the parity
-suite drive a shard in-process and compare it mark-for-mark against the
-emulated engine.
+Everything here is deliberately single-threaded and deterministic,
+which is what lets the parity suite drive a shard directly and compare
+it mark-for-mark against the emulated engine.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ class ShardSpec:
 
     Everything that does not change between doalls of the same target
     loop: the program, the transform plan's array classification and the
-    virtual-processor count.  Shipped to workers once (inherited through
-    ``fork``), while the per-doall state travels in :class:`ShardTask`.
+    virtual-processor count.  Handed to workers once, when the pool is
+    built, while the per-doall state travels in :class:`ShardTask`.
     """
 
     program: Program
@@ -101,22 +101,18 @@ class ShardTask:
     assignment: list[list[int]]
     #: the virtual processors this worker owns (contiguous block).
     procs: list[int]
-    #: loop-entry state (pickled across the pipe; workers never touch
-    #: the parent's environment).
+    #: loop-entry state (each worker runs on its own clone and never
+    #: touches the parent's environment).
     env: Environment
     marking: bool = True
     value_based: bool = True
     granularity: Granularity = Granularity.ITERATION
     eager: bool = False
-    #: run the owned lanes through the vectorized whole-block lowering
-    #: (falls back to compiled per-iteration on a bail) instead of the
-    #: per-iteration compiled executor.
-    whole_block: bool = False
 
 
 @dataclass
 class ShardResult:
-    """What one worker hands back (shadow marks travel via shared memory)."""
+    """What one worker hands back (shadow marks stay in its marker)."""
 
     #: post-execution scalar state per owned virtual processor.
     proc_scalars: dict[int, dict[str, float | int]]
@@ -134,7 +130,7 @@ class ShardResult:
     tw: dict[str, int] = field(default_factory=dict)
     executed: int = 0
     aborted: bool = False
-    #: why a requested vectorized execution degraded to compiled (if it did).
+    #: why the vectorized execution degraded to compiled (if it did).
     fallback: str | None = None
 
 
@@ -143,8 +139,10 @@ def execute_shard(
 ) -> ShardResult:
     """Run one worker's virtual processors through their assigned iterations.
 
-    Mirrors the emulated executor's round-robin interleaving restricted
-    to the owned processors, so every per-processor observable (private
+    The owned lanes run whole-block when the classifier accepts the loop
+    and the lowering does not bail; otherwise the compiled path mirrors
+    the emulated executor's round-robin interleaving restricted to the
+    owned processors.  Either way every per-processor observable (private
     rows, partials, scalars, iteration cost brackets, shadow marks and
     the eager-abort point) is deterministic and identical to what those
     processors produce under the single-process engines.
@@ -172,63 +170,34 @@ def execute_shard(
     tested = spec.tested_arrays if (marker is not None and task.marking) else frozenset()
 
     fallback: str | None = None
-    if task.whole_block:
+    decision = classify_loop(spec.program, spec.loop, spec)
+    if decision:
         positions = [p for proc in task.procs for p in task.assignment[proc]]
-        decision = classify_loop(spec.program, spec.loop, spec)
-        if decision:
-            try:
-                pairs = execute_vectorized_block(
-                    spec.program, spec.loop,
-                    values=task.values, positions=positions,
-                    assignment=task.assignment, num_procs=spec.num_procs,
-                    tested=tested, redux_refs=spec.redux_refs,
-                    scalar_reductions=spec.scalar_reductions,
-                    live_out_scalars=spec.live_out_scalars,
-                    value_based=task.value_based,
-                    marker=marker if task.marking else None,
-                    privates=privates, partials=partials,
-                    proc_envs=proc_envs, shared_env=env,
-                )
-            except VectorizeBail as bail:
-                fallback = bail.reason
-            else:
-                return ShardResult(
-                    proc_scalars={
-                        proc: dict(pe.scalars) for proc, pe in proc_envs.items()
-                    },
-                    private_rows={
-                        name: {
-                            proc: (copies.data[proc].copy(),
-                                   copies.wstamp[proc].copy())
-                            for proc in task.procs
-                        }
-                        for name, copies in privates.items()
-                    },
-                    partial_maps={
-                        name: {proc: dict(p.proc_maps()[proc])
-                               for proc in task.procs}
-                        for name, p in partials.items()
-                    },
-                    iteration_costs=[
-                        (pos, (c.flops, c.mem_reads, c.mem_writes,
-                               c.scalar_ops, c.intrinsics, c.branches,
-                               c.marks))
-                        for pos, c in pairs
-                    ],
-                    shared_writes={},  # the classifier rejects shared stores
-                    tw={
-                        name: shadow.tw
-                        for name, shadow in (
-                            marker.shadows if marker else {}
-                        ).items()
-                    },
-                    executed=len(positions),
-                    aborted=False,
-                )
+        try:
+            pairs = execute_vectorized_block(
+                spec.program, spec.loop,
+                values=task.values, positions=positions,
+                assignment=task.assignment, num_procs=spec.num_procs,
+                tested=tested, redux_refs=spec.redux_refs,
+                scalar_reductions=spec.scalar_reductions,
+                live_out_scalars=spec.live_out_scalars,
+                value_based=task.value_based,
+                marker=marker if task.marking else None,
+                privates=privates, partials=partials,
+                proc_envs=proc_envs, shared_env=env,
+            )
+        except VectorizeBail as bail:
+            fallback = bail.reason
         else:
-            fallback = decision.reason
-        # The block attempt committed nothing: run the owned processors
-        # per-iteration on the compiled engine over the same structures.
+            # The classifier rejects shared stores: no in-place writes.
+            return _shard_result(
+                spec, task, marker, proc_envs, privates, partials, pairs,
+                shared_writes={}, executed=len(positions), aborted=False,
+            )
+    else:
+        fallback = decision.reason
+    # The block attempt committed nothing: run the owned processors
+    # per-iteration on the compiled engine over the same structures.
 
     spec_loop = CompiledSpecLoop(
         spec.program, spec.loop,
@@ -285,6 +254,28 @@ def execute_shard(
         if changed.size:
             shared_writes[name] = (changed, current[changed].copy())
 
+    return _shard_result(
+        spec, task, marker, proc_envs, privates, partials, iteration_costs,
+        shared_writes=shared_writes, executed=executed, aborted=aborted,
+        fallback=fallback,
+    )
+
+
+def _shard_result(
+    spec: ShardSpec,
+    task: ShardTask,
+    marker: ShadowMarker | None,
+    proc_envs: dict[int, Environment],
+    privates: dict[str, PrivateCopies],
+    partials: dict[str, ReductionPartials],
+    iteration_costs: list[tuple[int, IterationCost]],
+    *,
+    shared_writes: dict[str, tuple[np.ndarray, np.ndarray]],
+    executed: int,
+    aborted: bool,
+    fallback: str | None = None,
+) -> ShardResult:
+    """Package the owned processors' state for the parent's merge."""
     return ShardResult(
         proc_scalars={proc: dict(pe.scalars) for proc, pe in proc_envs.items()},
         private_rows={

@@ -55,11 +55,10 @@ class WallClock:
 
     The *simulated* cycles in :class:`TimeBreakdown` price the modeled
     multiprocessor; these are real ``perf_counter`` durations of the
-    host execution, recorded so the measured speedup of the multiprocess
-    backend (``engine="parallel"``) can be reported next to — never
-    mixed into — the simulated numbers.  The doall phase includes
-    shadow/private initialization and, for the parallel engine, task
-    dispatch and the cross-processor shadow merge.
+    host execution, reported next to — never mixed into — the simulated
+    numbers.  The doall phase includes shadow/private initialization
+    and, for a worker-sharded run, task dispatch and the
+    cross-processor shadow merge.
     """
 
     checkpoint: float = 0.0

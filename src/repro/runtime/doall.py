@@ -91,7 +91,6 @@ def run_doall(
     values: list[int] | None = None,
     workers: int | None = None,
     pool=None,
-    backend: str = "fork",
     profiles=None,
     loop_key: str | None = None,
     need_costs: bool = True,
@@ -111,17 +110,14 @@ def run_doall(
     instrumented tree walker), ``"vectorized"`` (the whole-block NumPy
     lowering; classifier-rejected loops and runtime bails walk the
     declared fallback chain to ``"compiled"`` with the reason on the
-    outcome), ``"parallel"`` (real worker processes with shared-memory
-    shadow sets and the paper's cross-processor merge), or ``"auto"``
-    (the per-loop planner, decision recorded on the run).  All produce
-    bit-identical state, costs and shadow marks on completed runs.
+    outcome), or ``"auto"`` (the per-loop planner, decision recorded on
+    the run).  All produce bit-identical state, costs and shadow marks
+    on completed runs.
 
-    ``workers``/``pool`` apply to worker-sharding engines only: a real
-    process count (default: one per usable core) or a persistent
-    :class:`~repro.runtime.parallel_backend.WorkerPool` to reuse across
-    strips.  ``backend`` picks the pool flavour for owned pools:
-    ``"fork"`` (processes over shared-memory shadows) or ``"threads"``
-    (in-process workers, no fork cost).
+    ``workers``/``pool`` apply to worker-sharding engines only: a
+    thread-pool worker count or a persistent
+    :class:`~repro.runtime.parallel_backend.ThreadWorkerPool` to reuse
+    across strips; the lanes are then sharded across those workers.
 
     ``values`` overrides the iteration values to execute — the
     strip-mined pipeline passes one strip of the loop's iteration space
@@ -161,7 +157,6 @@ def run_doall(
         values=values,
         workers=workers,
         pool=pool,
-        backend=backend,
         profiles=profiles,
         loop_key=loop_key,
         need_costs=need_costs,

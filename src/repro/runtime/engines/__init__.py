@@ -1,7 +1,7 @@
 """Pluggable execution engines behind one registry seam.
 
 Importing this package registers the built-in engines (walk, compiled,
-vectorized, parallel, auto, doacross); everything else resolves engines through
+vectorized, auto, doacross); everything else resolves engines through
 :data:`registry` — by name for dispatch, by capability for decisions
 (worker pools, serial substitution, CLI choices, test
 parameterization).  Adding an engine is one module: subclass
@@ -34,7 +34,6 @@ from repro.runtime.engines.registry import EngineRegistry, registry
 from repro.runtime.engines import compiled as _compiled  # noqa: E402,F401
 from repro.runtime.engines import walk as _walk  # noqa: E402,F401
 from repro.runtime.engines import vectorized as _vectorized  # noqa: E402,F401
-from repro.runtime.engines import parallel as _parallel  # noqa: E402,F401
 from repro.runtime.engines import auto as _auto  # noqa: E402,F401
 from repro.runtime.engines import doacross as _doacross  # noqa: E402,F401
 
@@ -46,9 +45,7 @@ DEFAULT_ENGINE = "compiled"
 
 #: didactic ordering of the generated docs table (registry order is
 #: alphabetical; the docs read reference-first).
-_DOC_ORDER = (
-    "walk", "compiled", "vectorized", "parallel", "auto", "doacross"
-)
+_DOC_ORDER = ("walk", "compiled", "vectorized", "auto", "doacross")
 
 
 def get_engine(name: str) -> ExecutionEngine:

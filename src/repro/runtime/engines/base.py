@@ -2,7 +2,7 @@
 
 Every doall body executor — the reference tree walker, the
 closure-compiled fast path, the vectorized whole-block lowering, the
-multiprocess backend and the ``auto`` planner — implements
+``auto`` planner and the DOACROSS recovery tier — implements
 :class:`ExecutionEngine` and registers itself in
 :mod:`repro.runtime.engines.registry`.  The rest of the runtime never
 compares engine *names*; it asks the registry for an engine object and
@@ -60,11 +60,8 @@ class EngineCaps:
 
     #: has a serial (non-doall) executor — :meth:`ExecutionEngine.execute_serial`.
     supports_serial: bool = False
-    #: can shard the doall across real worker processes (``workers=``/``pool=``).
+    #: can shard the doall across thread-pool workers (``workers=``/``pool=``).
     supports_workers: bool = False
-    #: always runs on the multiprocess backend, even without an explicit
-    #: worker count (the "parallel" engine).
-    requires_workers: bool = False
     #: consults the static vectorizability classifier before executing.
     needs_classifier: bool = False
     #: executes the loop body as one whole-block lowering rather than
@@ -105,9 +102,6 @@ class DoallContext:
     values: list[int]
     workers: Optional[int] = None
     pool: object = None
-    #: worker-pool flavour for sharded execution ("fork" or "threads");
-    #: validated by :func:`repro.runtime.parallel_backend.validate_backend`.
-    backend: str = "fork"
     #: the caller's :class:`~repro.runtime.profile.LoopProfileStore`
     #: (None when no history is available) — planner engines consult its
     #: per-engine observations; executing engines ignore it.

@@ -12,9 +12,10 @@ original planner —
 * the trip count — below :data:`MIN_VECTOR_TRIP` iterations the
   whole-block setup outweighs the lowering, so small (strips of) loops
   stay on the compiled per-iteration engine;
-* worker availability — an explicit worker request routes
-  classifier-rejected loops to the multiprocess backend instead of the
-  single-process compiled engine.
+* worker availability — an explicit worker request shards an accepted
+  loop's lanes over the thread pool; a classifier-rejected loop still
+  runs single-process on the compiled engine, and its recorded reason
+  says the requested workers were not used.
 
 **Warm** (the caller supplied a
 :class:`~repro.runtime.profile.LoopProfileStore` holding at least
@@ -106,9 +107,9 @@ class EnginePlanner:
     def _eligible_engines(self, classifier_ok: bool, workers: Optional[int]) -> list[str]:
         """Engines this loop could run on, by declared capability.
 
-        Planners are excluded (no recursion); worker-requiring engines
-        need a worker request and a worker request needs a sharding
-        engine; classifier-gated engines need an accepting classifier.
+        Planners are excluded (no recursion); a worker request needs a
+        sharding engine; classifier-gated engines need an accepting
+        classifier.
         """
         from repro.runtime.engines.registry import registry
 
@@ -116,8 +117,6 @@ class EnginePlanner:
         for engine in registry.all():
             caps = engine.caps
             if caps.planner or caps.recovery:
-                continue
-            if caps.requires_workers and workers is None:
                 continue
             if workers is not None and not caps.supports_workers:
                 continue
@@ -178,31 +177,26 @@ class EnginePlanner:
         workers: Optional[int],
     ) -> EnginePlan:
         body_size = len(loop.body)
+        if decision and trip_count >= self.min_vector_trip:
+            sharding = (
+                f", sharded across {workers} workers"
+                if workers is not None
+                else ""
+            )
+            return EnginePlan(
+                "vectorized",
+                f"classifier accepted whole-block lowering "
+                f"(trip count {trip_count}, body {body_size} "
+                f"statements{sharding})",
+            )
         if decision:
-            if trip_count >= self.min_vector_trip:
-                sharding = (
-                    f", sharded across {workers} workers"
-                    if workers is not None
-                    else ""
-                )
-                return EnginePlan(
-                    "vectorized",
-                    f"classifier accepted whole-block lowering "
-                    f"(trip count {trip_count}, body {body_size} "
-                    f"statements{sharding})",
-                )
-            return EnginePlan(
-                "compiled",
+            reason = (
                 f"classifier accepted but trip count {trip_count} is below "
-                f"the whole-block threshold ({self.min_vector_trip})",
+                f"the whole-block threshold ({self.min_vector_trip})"
             )
+        else:
+            reason = f"classifier rejected whole-block lowering ({decision.reason})"
         if workers is not None:
-            return EnginePlan(
-                "parallel",
-                f"classifier rejected whole-block lowering "
-                f"({decision.reason}); {workers} workers requested",
-            )
-        return EnginePlan(
-            "compiled",
-            f"classifier rejected whole-block lowering ({decision.reason})",
-        )
+            # Only the whole-block engine shards; compiled runs in-process.
+            reason += f"; the {workers} requested workers were not used"
+        return EnginePlan("compiled", reason)

@@ -85,10 +85,10 @@ class EngineRegistry:
 
         Returns ``(engine name, substitution reason)``; the reason is
         ``None`` when the engine runs serially itself.  Engines without
-        a serial executor (parallel has no doall to shard, vectorized no
-        block to lower, auto nothing to plan) substitute the first
-        serial-capable engine on their declared fallback chain — and the
-        substitution is *reported*, not silently dropped.
+        a serial executor (vectorized has no block to lower, auto nothing
+        to plan) substitute the first serial-capable engine on their
+        declared fallback chain — and the substitution is *reported*,
+        not silently dropped.
         """
         for candidate in self.fallback_chain(name):
             if self.get(candidate).caps.supports_serial:
@@ -104,16 +104,13 @@ class EngineRegistry:
         )
 
     def needs_worker_pool(self, name: str, workers: Optional[int]) -> bool:
-        """Whether a run of ``name`` with ``workers`` shards onto real
-        worker processes (the strip pipeline pre-forks one pool if so)."""
-        engine = self.get(name)
-        if engine.caps.planner:
-            # The planner only picks a sharding engine when workers were
-            # explicitly requested (see EnginePlanner).
-            return workers is not None
-        return engine.caps.requires_workers or (
-            engine.caps.supports_workers and workers is not None
-        )
+        """Whether a run of ``name`` with ``workers`` shards onto thread-pool
+        workers (the strip pipeline builds one pool up front if so).
+
+        Sharding needs an explicit worker count; the planner only picks
+        a sharding engine when one was requested (see EnginePlanner).
+        """
+        return workers is not None and self.get(name).caps.supports_workers
 
 
 #: the process-wide registry; populated by the engine modules' imports

@@ -6,8 +6,8 @@ one lane per iteration — with bulk shadow marking
 bails raise :class:`EngineFallback` strictly pre-commit; the dispatcher
 walks the declared fallback chain (``vectorized -> compiled``) and the
 loop reruns per-iteration over fresh, untouched structures.  With an
-explicit worker count or pool the block is sharded lane-wise onto the
-multiprocess backend instead.
+explicit worker count or pool the lanes are sharded across the thread
+pool of :mod:`repro.runtime.parallel_backend` instead.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ class VectorizedEngine(ExecutionEngine):
 
     def execute_doall(self, ctx: DoallContext) -> DoallRun:
         if ctx.workers is not None or ctx.pool is not None:
-            # Shard the lanes across real worker processes; in-shard
-            # bails degrade to compiled inside the workers and come back
-            # on the merged run's fallback fields.
+            # Shard the lanes across the thread pool; in-shard bails
+            # degrade to compiled inside the workers and come back on
+            # the merged run's fallback fields.
             from repro.runtime.parallel_backend import run_parallel_doall
 
             return run_parallel_doall(
@@ -54,7 +54,6 @@ class VectorizedEngine(ExecutionEngine):
                 marker=ctx.marker, value_based=ctx.value_based,
                 schedule=ctx.schedule, values=ctx.values,
                 workers=ctx.workers, pool=ctx.pool,
-                whole_block=True, backend=ctx.backend,
             )
 
         decision = classify_loop(ctx.program, ctx.loop, ctx.plan)

@@ -200,14 +200,13 @@ def run_inspector_executor(
     engine: str = "compiled",
     workers: int | None = None,
     pool=None,
-    backend: str = "fork",
     profiles=None,
     loop_key: str | None = None,
 ) -> InspectorOutcome:
     """Inspector → test → (parallel executor | serial loop).
 
     ``engine`` selects the executor-phase doall engine (``workers`` is
-    its process count when ``"parallel"``, ``pool`` an optional
+    its thread-pool worker count when it shards, ``pool`` an optional
     caller-owned persistent worker pool); the marking inspector itself
     always runs the sliced tree walker (it executes only the
     address/control slice, which the compiler does not handle).
@@ -245,7 +244,7 @@ def run_inspector_executor(
             program, loop, env, plan, sim.num_procs,
             marker=None, value_based=False, schedule=schedule, engine=engine,
             values=loop_iteration_values(start, stop, step),
-            workers=workers, pool=pool, backend=backend,
+            workers=workers, pool=pool,
             profiles=profiles, loop_key=loop_key,
         )
         fallback_reason = run.fallback_reason

@@ -96,10 +96,8 @@ class RunConfig:
     eager_failure_detection: bool = False
     #: doall iteration executor — any engine registered in
     #: :mod:`repro.runtime.engines`: "compiled" (closure-compiled,
-    #: batched marking), "walk" (the reference tree walker), "parallel"
-    #: (real worker processes with shared-memory shadows,
-    #: :mod:`repro.runtime.parallel_backend`), "vectorized" (whole-block
-    #: NumPy lowering with bulk shadow marking,
+    #: batched marking), "walk" (the reference tree walker), "vectorized"
+    #: (whole-block NumPy lowering with bulk shadow marking,
     #: :mod:`repro.interp.vectorized_spec`; classifier-rejected loops
     #: walk the declared fallback chain to compiled with the reason
     #: recorded on the report), or "auto" (per-loop adaptive selection,
@@ -107,16 +105,11 @@ class RunConfig:
     #: is kept for ablation and equivalence testing.  Validated at
     #: construction against the registry.
     engine: str = "compiled"
-    #: real worker processes for ``engine="parallel"`` (None: one per
-    #: usable core).  Independent of the *simulated* processor count in
-    #: :attr:`model` — workers are an execution resource, processors are
-    #: what the cost model prices.
+    #: thread-pool workers that shard the ``vectorized`` lanes (None:
+    #: run single-process).  Independent of the *simulated* processor
+    #: count in :attr:`model` — workers are an execution resource,
+    #: processors are what the cost model prices.
     workers: int | None = None
-    #: worker-pool flavour for sharded execution: "fork" (processes over
-    #: shared-memory shadows) or "threads" (in-process workers, no fork
-    #: or shared-memory setup — the small-trip-loop backend).  Validated
-    #: at construction.
-    backend: str = "fork"
     #: iterations per strip for :attr:`Strategy.STRIPPED`.  ``None``
     #: degenerates to one whole-loop strip — the report is bit-identical
     #: to :attr:`Strategy.SPECULATIVE` (the path is delegated wholesale).
@@ -128,11 +121,8 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         # Fail at construction, not deep inside a strategy run; the
-        # errors list the registered engines / known backends.
+        # error lists the registered engines.
         get_engine(self.engine)
-        from repro.runtime.parallel_backend import validate_backend
-
-        validate_backend(self.backend)
 
     def with_procs(self, p: int) -> "RunConfig":
         import dataclasses
@@ -166,9 +156,9 @@ class LoopRunner:
         #: optional caller-owned
         #: :class:`~repro.runtime.parallel_backend.WorkerPoolCache`:
         #: when set, worker-sharding runs draw a persistent pool from it
-        #: (keyed by loop identity, procs, workers, backend) instead of
-        #: forking an ephemeral one per run — the serve daemon passes a
-        #: fleet-wide cache so repeat requests skip process startup.
+        #: (keyed by loop identity, procs, workers) instead of building
+        #: an ephemeral one per run — the serve daemon passes a
+        #: fleet-wide cache so repeat requests skip thread start-up.
         #: The caller owns the cache's lifetime (``pools.close()``).
         self.pools = pools
         self._serial_runs: dict[str, SerialRun] = {}
@@ -177,7 +167,7 @@ class LoopRunner:
         self._spec_marker = None
         #: memoized simulated times and serial loop cycles of passed
         #: schedule-reuse runs, keyed by (signature, machine, procs,
-        #: schedule, engine, workers, backend).  A reuse run's times are a
+        #: schedule, engine, workers).  A reuse run's times are a
         #: pure function of that key — the signature pins the access
         #: pattern, everything else pins the machine and schedule — so
         #: repeat reuse runs skip the per-iteration cost accounting and
@@ -197,10 +187,10 @@ class LoopRunner:
         engines are property-tested to be state- and count-identical, so
         the choice only affects wall clock, not any simulated quantity.
         Engines without a serial executor (the serial reference has no
-        doall for the parallel backend to shard, nor a block for the
-        vectorized engine to lower) substitute the first serial-capable
-        engine on their registry fallback chain, with the substitution
-        recorded on the returned run instead of silently dropped.
+        block for the vectorized engine to lower) substitute the first
+        serial-capable engine on their registry fallback chain, with the
+        substitution recorded on the returned run instead of silently
+        dropped.
         """
         serial_name, substitution = serial_engine_for(engine)
         key = f"{model.name}:{serial_name}"
@@ -222,8 +212,8 @@ class LoopRunner:
         """Execute the target loop under ``strategy``; returns the report.
 
         Every run feeds the profile store: one
-        :class:`~repro.runtime.profile.RunObservation` (engine, backend,
-        measured wall clock, verdict, strip size) is appended to the
+        :class:`~repro.runtime.profile.RunObservation` (engine, measured
+        wall clock, verdict, strip size) is appended to the
         loop's ring, and the verdict-cache counters are snapshotted onto
         ``report.cache_stats``.
         """
@@ -247,7 +237,6 @@ class LoopRunner:
         self.profiles.observe(self._loop_key(), RunObservation(
             strategy=report.strategy,
             engine=report.engine_used,
-            backend=config.backend,
             wall_s=wall_s,
             doall_s=report.wall.doall if report.wall is not None else 0.0,
             passed=report.passed,
@@ -310,7 +299,7 @@ class LoopRunner:
 
     def _shared_pool(self, config: RunConfig, sim: DoallSimulator, env: Environment):
         """A persistent worker pool from :attr:`pools` (None without a
-        cache, or when the run does not shard onto real workers).
+        cache, or when the run does not shard its lanes over workers).
 
         The pool is keyed by everything its :class:`ShardSpec` and
         layout depend on, so a cache shared across runners and requests
@@ -320,23 +309,14 @@ class LoopRunner:
 
         if self.pools is None or not needs_worker_pool(config.engine, config.workers):
             return None
-        from repro.runtime.parallel_backend import (
-            ShardSpec,
-            default_workers,
-            make_worker_pool,
-        )
+        from repro.runtime.parallel_backend import ShardSpec, ThreadWorkerPool
 
-        workers = (
-            config.workers if config.workers is not None
-            else default_workers(sim.num_procs)
-        )
-        key = (self._loop_key(), sim.num_procs, workers, config.backend)
-        return self.pools.get(key, lambda: make_worker_pool(
+        key = (self._loop_key(), sim.num_procs, config.workers)
+        return self.pools.get(key, lambda: ThreadWorkerPool(
             ShardSpec.from_plan(
                 self.program, self.loop, self.plan, env, sim.num_procs
             ),
-            workers,
-            config.backend,
+            config.workers,
         ))
 
     def _speculation_veto(self, config: RunConfig) -> str | None:
@@ -440,7 +420,6 @@ class LoopRunner:
             marker=self._spec_marker,
             workers=config.workers,
             pool=pool,
-            backend=config.backend,
             profiles=self.profiles,
             loop_key=self._loop_key(),
             recovery=recovery,
@@ -572,7 +551,6 @@ class LoopRunner:
             marker=self._spec_marker,
             workers=config.workers,
             pool=self._shared_pool(config, sim, env),
-            backend=config.backend,
             profiles=self.profiles,
             loop_key=self._loop_key(),
             recovery=recovery,
@@ -642,7 +620,6 @@ class LoopRunner:
             memo_key = (
                 signature, config.model.name, sim.num_procs,
                 config.schedule, config.engine, config.workers,
-                config.backend,
             )
             memo = (
                 self._reuse_times.get(memo_key)
@@ -656,7 +633,7 @@ class LoopRunner:
                 engine=reuse_engine,
                 values=loop_iteration_values(start, stop, step),
                 workers=reuse_workers,
-                pool=pool, backend=config.backend,
+                pool=pool,
                 profiles=self.profiles, loop_key=self._loop_key(),
                 need_costs=memo is None,
             )
@@ -734,7 +711,6 @@ class LoopRunner:
             engine=config.engine,
             workers=config.workers,
             pool=self._shared_pool(config, sim, env),
-            backend=config.backend,
             profiles=self.profiles,
             loop_key=self._loop_key(),
         )

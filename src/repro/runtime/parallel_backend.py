@@ -1,64 +1,52 @@
-"""The true multiprocess speculative backend.
+"""Worker-sharded whole-block execution on a thread pool.
 
-Where :func:`repro.runtime.doall.run_doall` *emulates* ``p`` processors
-inside one OS process, this backend actually runs the marked doall on
-real worker processes:
+Where the single-process engines run all ``p`` virtual processors of a
+marked doall in one executor, this backend shards them across
+``threading`` workers (reached through ``engine="vectorized"`` with an
+explicit ``workers=N``):
 
 * the ``p`` virtual processors of the machine model are partitioned into
   contiguous blocks, one block per worker (``workers`` is an execution
   resource, independent of the simulated processor count);
-* each worker owns a full shadow set for the tested arrays, laid out in
-  a :class:`multiprocessing.shared_memory.SharedMemory` segment so the
-  parent reads the marks back without any serialization;
-* each worker executes its processors' iterations via
-  :func:`repro.interp.parallel_spec.execute_shard` — private copies,
-  reduction partials and per-processor scalars included;
+* each worker owns a full in-process shadow set for the tested arrays
+  and a clone of the loop-entry environment;
+* each worker runs its processors' lanes through
+  :func:`repro.interp.parallel_spec.execute_shard` — the vectorized
+  whole-block lowering, or the per-iteration compiled path when the
+  lowering bails — with private copies, reduction partials and
+  per-processor scalars included;
 * after the join, the parent performs the paper's cross-processor merge
   (:meth:`repro.core.shadow.ShadowArray.merge_from`: OR/union of the
   mark bits, summed ``tw``, merged ``tm`` stamps) into the caller's
   marker and reconstructs a :class:`~repro.runtime.doall.DoallRun` that
   the existing LRPD analysis and commit machinery consume unchanged.
 
-The reconstruction is bit-identical to the emulated engines for every
-analysis-visible quantity (shadow contents, ``tw``/``tm``, private rows
-and write stamps, reduction partials, per-processor scalars, iteration
-costs and the derived simulated times) on runs that complete.  Runs cut
-short by eager (on-the-fly) detection abort at a worker-local point
-rather than the emulation's global round-robin point, so only the
-verdict (always "fail", guaranteed by mark monotonicity under the
-merge) and the post-protocol environment are comparable there.
+The reconstruction is bit-identical to the single-process engines for
+every analysis-visible quantity (shadow contents, ``tw``/``tm``, private
+rows and write stamps, reduction partials, per-processor scalars,
+iteration costs and the derived simulated times) on runs that complete.
+Runs cut short by eager (on-the-fly) detection abort at a worker-local
+point rather than the emulation's global round-robin point, so only the
+verdict (always "fail", guaranteed by mark monotonicity under the merge)
+and the post-protocol environment are comparable there.
 
-Workers are forked (``fork`` start method) so the shared-memory views
-and the compiled loop spec are inherited, not pickled; a persistent
-:class:`WorkerPool` amortizes the fork across the strips of a
-strip-mined run.  Segment teardown is robust: :meth:`WorkerPool.close`
-unlinks every segment even when a strip aborted or a worker raised, so
-no ``/dev/shm`` segments outlive the pool.
-
-A ``threads`` sibling (:class:`ThreadWorkerPool`, ``--backend
-threads``) runs the very same shards on ``threading`` workers over
-per-worker in-process :class:`~repro.core.shadow.ShadowArray` sets — no
-fork, no shared memory, no environment pickling — through the identical
-``merge_from`` path, so small-trip loops stop losing their speedup to
-process setup.
+A persistent :class:`ThreadWorkerPool` amortizes thread start-up and
+shadow allocation across the strips of a strip-mined run, and a
+:class:`WorkerPoolCache` across the requests a long-lived runner serves.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
-import os
 import queue
-import secrets
 import threading
-from multiprocessing.shared_memory import SharedMemory
 
 import numpy as np
 
 from repro.analysis.instrument import InstrumentationPlan
 from repro.core.privatize import PrivateCopies
 from repro.core.reduction_exec import REDUCTION_IDENTITY, ReductionPartials
-from repro.core.shadow import SHADOW_FIELDS, Granularity, ShadowArray, ShadowMarker
+from repro.core.shadow import Granularity, ShadowArray, ShadowMarker
 from repro.dsl.ast_nodes import Do, Program
 from repro.errors import InterpError
 from repro.interp.costs import IterationCost
@@ -73,37 +61,6 @@ from repro.interp.parallel_spec import (
 from repro.machine.schedule import ScheduleKind, assign_iterations
 from repro.runtime.doall import DoallRun
 from repro.runtime.serial import loop_iteration_values
-
-#: /dev/shm name prefix of the arena's segments (the teardown test
-#: globs for leftovers under this prefix).
-SEGMENT_PREFIX = "lrpd-shadow"
-
-_ALIGN = 8
-
-#: the selectable worker-pool flavours (``--backend``): forked processes
-#: over shared-memory shadows, or in-process threads over plain shadows.
-BACKENDS = ("fork", "threads")
-DEFAULT_BACKEND = "fork"
-
-
-def validate_backend(backend: str) -> str:
-    """The single backend-name validation point (RunConfig, CLI)."""
-    if backend not in BACKENDS:
-        raise InterpError(
-            f"unknown parallel backend {backend!r}; choose from "
-            f"{', '.join(BACKENDS)}"
-        )
-    return backend
-
-
-def default_workers(num_procs: int) -> int:
-    """Worker count when the caller does not pin one: one per usable
-    core, never more than the virtual processors being sharded."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        cores = os.cpu_count() or 1
-    return max(1, min(num_procs, cores))
 
 
 def partition_procs(num_procs: int, workers: int) -> list[list[int]]:
@@ -123,201 +80,11 @@ def partition_procs(num_procs: int, workers: int) -> list[list[int]]:
     ]
 
 
-class SharedShadowArena:
-    """Per-worker shadow sets backed by shared-memory segments.
-
-    One segment per worker packs all ten shadow buffers
-    (:data:`~repro.core.shadow.SHADOW_FIELDS`) of every tested array at
-    8-byte-aligned offsets.  The segments are created — and the numpy
-    views plus :class:`ShadowMarker` wrappers built — in the parent
-    *before* the workers fork, so both sides address the same physical
-    pages and marks made in a worker are immediately visible to the
-    parent's merge without serialization.
-    """
-
-    def __init__(self, shadow_sizes: dict[str, int], workers: int):
-        self.shadow_sizes = dict(shadow_sizes)
-        layout: list[tuple[str, str, int, np.dtype, int]] = []
-        offset = 0
-        for name in sorted(self.shadow_sizes):
-            size = self.shadow_sizes[name]
-            for fieldname, dtype in SHADOW_FIELDS:
-                dtype = np.dtype(dtype)
-                offset = (offset + _ALIGN - 1) // _ALIGN * _ALIGN
-                layout.append((name, fieldname, size, dtype, offset))
-                offset += size * dtype.itemsize
-        self._layout = layout
-        self._segment_bytes = max(offset, 1)
-
-        self.segments: list[SharedMemory] = []
-        self.markers: list[ShadowMarker] = []
-        try:
-            for _ in range(workers):
-                segment = SharedMemory(
-                    create=True,
-                    size=self._segment_bytes,
-                    name=f"{SEGMENT_PREFIX}-{os.getpid()}-{secrets.token_hex(4)}",
-                )
-                self.segments.append(segment)
-                self.markers.append(self._build_marker(segment))
-        except BaseException:
-            self.close()
-            raise
-
-    def _build_marker(self, segment: SharedMemory) -> ShadowMarker:
-        buffers: dict[str, dict[str, np.ndarray]] = {
-            name: {} for name in self.shadow_sizes
-        }
-        for name, fieldname, size, dtype, offset in self._layout:
-            buffers[name][fieldname] = np.ndarray(
-                (size,), dtype=dtype, buffer=segment.buf, offset=offset
-            )
-        shadows = {
-            name: ShadowArray.from_buffers(name, self.shadow_sizes[name], views)
-            for name, views in buffers.items()
-        }
-        return ShadowMarker.from_shadows(shadows)
-
-    def close(self) -> None:
-        """Release the views and unlink every segment (idempotent)."""
-        self.markers.clear()
-        segments, self.segments = self.segments, []
-        for segment in segments:
-            try:
-                segment.close()
-            except BufferError:  # pragma: no cover - view still exported
-                pass
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-
-
-def _worker_main(spec: ShardSpec, marker: ShadowMarker, conn) -> None:
-    """One worker's serve loop: recv a :class:`ShardTask`, run it, reply.
-
-    Replies are ``("ok", ShardResult)`` or ``("error", exception)``; the
-    loop exits on a ``None`` sentinel or a closed pipe.  The worker's
-    marker (shared-memory backed, inherited through fork) is reset here,
-    per task, so the parent never races a worker on the buffers.
-    """
-    while True:
-        try:
-            task = conn.recv()
-        except (EOFError, OSError):
-            return
-        if task is None:
-            return
-        try:
-            if task.marking:
-                marker.reset(task.granularity, eager=task.eager)
-                result = execute_shard(spec, task, marker)
-            else:
-                result = execute_shard(spec, task, None)
-            reply = ("ok", result)
-        except BaseException as exc:  # noqa: BLE001 - forwarded to parent
-            reply = ("error", exc)
-        try:
-            conn.send(reply)
-        except Exception:  # pragma: no cover - unpicklable payload
-            conn.send(("error", InterpError(f"worker reply failed: {reply[1]!r}")))
-
-
-class WorkerPool:
-    """A persistent set of forked shard workers over one shadow arena.
-
-    Forked once and reused across doalls of the same loop (the strip
-    pipeline sends every strip through the same pool), which amortizes
-    process startup and shadow allocation.  Always :meth:`close` the
-    pool — it is also a context manager — to join the workers and unlink
-    the shared-memory segments; teardown runs even after aborts and
-    forwarded worker exceptions.
-    """
-
-    def __init__(self, spec: ShardSpec, workers: int):
-        self.spec = spec
-        self.chunks = partition_procs(spec.num_procs, workers)
-        self.num_workers = len(self.chunks)
-        self.arena = SharedShadowArena(spec.shadow_sizes, self.num_workers)
-        ctx = multiprocessing.get_context("fork")
-        self._conns = []
-        self._procs = []
-        try:
-            for marker in self.arena.markers:
-                parent_conn, child_conn = ctx.Pipe()
-                proc = ctx.Process(
-                    target=_worker_main,
-                    args=(spec, marker, child_conn),
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                self._conns.append(parent_conn)
-                self._procs.append(proc)
-        except BaseException:
-            self.close()
-            raise
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def run(self, tasks: list[ShardTask]) -> list[ShardResult]:
-        """Dispatch one task per worker; gather results in worker order.
-
-        All replies are drained before any forwarded worker exception is
-        re-raised, so the pool stays reusable after a failed doall.
-        """
-        if len(tasks) != self.num_workers:
-            raise InterpError(
-                f"pool of {self.num_workers} workers got {len(tasks)} shard tasks"
-            )
-        for conn, task in zip(self._conns, tasks):
-            conn.send(task)
-        results: list[ShardResult] = []
-        errors: list[BaseException] = []
-        for index, conn in enumerate(self._conns):
-            try:
-                status, payload = conn.recv()
-            except (EOFError, OSError):
-                errors.append(InterpError(f"parallel worker {index} died"))
-                continue
-            if status == "ok":
-                results.append(payload)
-            else:
-                errors.append(payload)
-        if errors:
-            raise errors[0]
-        return results
-
-    def close(self) -> None:
-        """Join the workers and unlink the arena (idempotent)."""
-        conns, self._conns = self._conns, []
-        procs, self._procs = self._procs, []
-        for conn in conns:
-            try:
-                conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-            conn.close()
-        for proc in procs:
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.terminate()
-                proc.join(timeout=5.0)
-        self.arena.close()
-
-
 class ThreadShadowArena:
     """Per-worker shadow sets as plain in-process :class:`ShadowArray`\\ s.
 
-    The thread backend's sibling of :class:`SharedShadowArena`: same
-    ``markers`` contract (one :class:`ShadowMarker` per worker that the
-    parent's :func:`_merge_results` reads directly), but the buffers are
-    ordinary numpy arrays — no ``/dev/shm`` segments to allocate or
-    unlink, which is exactly the setup cost the backend exists to avoid.
+    One :class:`ShadowMarker` per worker; the parent's
+    :func:`_merge_results` reads them directly after the join.
     """
 
     def __init__(self, shadow_sizes: dict[str, int], workers: int):
@@ -336,13 +103,15 @@ class ThreadShadowArena:
 
 
 def _thread_worker_main(spec: ShardSpec, marker: ShadowMarker, inbox, outbox):
-    """One thread worker's serve loop — :func:`_worker_main` minus pipes.
+    """One worker's serve loop: take a :class:`ShardTask`, run it, reply.
 
-    Unlike a forked worker, a thread shares the parent's address space:
-    the task's environment must be cloned here (fork workers get theirs
-    through the pickle/fork copy) or the shard's in-place writes would
-    mutate the parent environment directly *and* come back again through
-    ``shared_writes`` in the merge.
+    Replies are ``("ok", ShardResult)`` or ``("error", exception)``; the
+    loop exits on a ``None`` sentinel.  A thread shares the parent's
+    address space, so the task's environment is cloned here — otherwise
+    the shard's in-place writes would mutate the parent environment
+    directly *and* come back again through ``shared_writes`` in the
+    merge.  The worker's marker is reset here, per task, so the parent
+    never races a worker on the buffers.
     """
     while True:
         task = inbox.get()
@@ -362,16 +131,12 @@ def _thread_worker_main(spec: ShardSpec, marker: ShadowMarker, inbox, outbox):
 
 
 class ThreadWorkerPool:
-    """A persistent set of ``threading`` shard workers — no fork at all.
+    """A persistent set of ``threading`` shard workers.
 
-    Same contract as :class:`WorkerPool` (``spec``, ``chunks``,
-    ``num_workers``, ``arena``, :meth:`run`, :meth:`close`, context
-    manager) over per-worker in-process :class:`ShadowArray` sets, so
-    :func:`_merge_results` runs the identical ``merge_from`` path and
-    the results are bit-identical to the fork backend.  Small-trip
-    loops keep their speedup because there is no process start, no
-    shared-memory allocation and no environment pickling — each worker
-    clones the environment in-process instead.
+    Built once and reused across doalls of the same loop (the strip
+    pipeline sends every strip through the same pool), which amortizes
+    thread start-up and shadow allocation.  :meth:`close` the pool — it
+    is also a context manager — to join the workers.
     """
 
     def __init__(self, spec: ShardSpec, workers: int):
@@ -404,8 +169,8 @@ class ThreadWorkerPool:
     def run(self, tasks: list[ShardTask]) -> list[ShardResult]:
         """Dispatch one task per worker; gather results in worker order.
 
-        Same drain-then-raise discipline as :meth:`WorkerPool.run`, so
-        the pool stays reusable after a failed doall.
+        All replies are drained before any forwarded worker exception is
+        re-raised, so the pool stays reusable after a failed doall.
         """
         if len(tasks) != self.num_workers:
             raise InterpError(
@@ -437,15 +202,6 @@ class ThreadWorkerPool:
         self.arena.close()
 
 
-def make_worker_pool(spec: ShardSpec, workers: int, backend: str = DEFAULT_BACKEND):
-    """Build the requested pool flavour over ``spec`` (the one place
-    backend names are compared)."""
-    validate_backend(backend)
-    if backend == "threads":
-        return ThreadWorkerPool(spec, workers)
-    return WorkerPool(spec, workers)
-
-
 class WorkerPoolCache:
     """Persistent worker pools kept alive across doalls *and* requests.
 
@@ -453,13 +209,13 @@ class WorkerPoolCache:
     single run; this cache promotes that reuse to the next level — a
     long-lived owner (a :class:`~repro.runtime.orchestrator.LoopRunner`
     held by the serve daemon) keys pools by
-    ``(loop identity, num_procs, workers, backend)`` and hands the same
-    forked workers to every subsequent request of the same loop, so
-    repeat jobs pay neither process startup nor shared-memory setup.
+    ``(loop identity, num_procs, workers)`` and hands the same workers
+    to every subsequent request of the same loop, so repeat jobs pay
+    neither thread start-up nor shadow allocation.
 
     A :class:`~repro.interp.parallel_spec.ShardSpec` is fixed for a
     loop's lifetime (program, transform plan, shadow sizes), so a cached
-    pool stays valid as long as its key does.  Pools are OS resources:
+    pool stays valid as long as its key does.  Pools own threads:
     always :meth:`close` the cache (it is also a context manager) —
     every pool's teardown is attempted even if one raises.
     """
@@ -515,31 +271,24 @@ def run_parallel_doall(
     schedule: ScheduleKind = ScheduleKind.BLOCK,
     values: list[int] | None = None,
     workers: int | None = None,
-    pool: WorkerPool | ThreadWorkerPool | None = None,
-    whole_block: bool = False,
-    backend: str = DEFAULT_BACKEND,
+    pool: ThreadWorkerPool | None = None,
 ) -> DoallRun:
-    """Execute the marked doall on real worker processes.
+    """Execute the marked doall sharded across thread-pool workers.
 
-    Drop-in replacement for the emulated executors behind
-    :func:`repro.runtime.doall.run_doall` (reached via the ``parallel``
-    and worker-sharded ``vectorized`` engines): same contract, same
-    returned :class:`DoallRun`, with the shadow marks merged into
-    ``marker`` per the paper's cross-processor union.  ``marker`` must
-    be freshly reset (the speculative protocols guarantee this) — the
-    merge folds the workers' marks into it rather than marking
-    incrementally.
+    Drop-in replacement for the single-process executors behind
+    :func:`repro.runtime.doall.run_doall` (reached via the worker-sharded
+    ``vectorized`` engine): same contract, same returned
+    :class:`DoallRun`, with the shadow marks merged into ``marker`` per
+    the paper's cross-processor union.  ``marker`` must be freshly reset
+    (the speculative protocols guarantee this) — the merge folds the
+    workers' marks into it rather than marking incrementally.  Each
+    worker runs its lanes whole-block; in-shard bails degrade to
+    compiled inside the worker and surface on the merged run's fallback
+    fields.
 
-    ``whole_block`` selects the in-worker body executor: the vectorized
-    whole-block lowering (in-shard bails degrade to compiled inside the
-    worker and surface on the merged run's fallback fields) instead of
-    the per-iteration compiled engine.
-
-    ``pool`` reuses a persistent :class:`WorkerPool` /
-    :class:`ThreadWorkerPool` (the strip pipeline passes one); otherwise
-    an ephemeral pool of ``workers`` workers (default: one per usable
-    core) of the requested ``backend`` flavour is built and torn down
-    around this single doall.
+    ``pool`` reuses a persistent :class:`ThreadWorkerPool` (the strip
+    pipeline passes one); otherwise an ephemeral pool of ``workers``
+    workers is built and torn down around this single doall.
     """
     if values is None:
         bounds_interp = Interpreter(program, env, value_based=False)
@@ -554,11 +303,7 @@ def run_parallel_doall(
     owned_pool = None
     if pool is None:
         spec = ShardSpec.from_plan(program, loop, plan, env, num_procs)
-        owned_pool = pool = make_worker_pool(
-            spec,
-            workers if workers is not None else default_workers(num_procs),
-            backend,
-        )
+        owned_pool = pool = ThreadWorkerPool(spec, workers)
     elif pool.spec.num_procs != num_procs:
         raise InterpError(
             f"worker pool sharded for p={pool.spec.num_procs}, doall wants "
@@ -581,14 +326,12 @@ def run_parallel_doall(
                     else Granularity.ITERATION
                 ),
                 eager=eager,
-                whole_block=whole_block,
             )
             for chunk in pool.chunks
         ]
         results = pool.run(tasks)
         return _merge_results(
             pool, results, env, plan, num_procs, marker, values, assignment,
-            whole_block=whole_block,
         )
     finally:
         if owned_pool is not None:
@@ -596,7 +339,7 @@ def run_parallel_doall(
 
 
 def _merge_results(
-    pool: WorkerPool | ThreadWorkerPool,
+    pool: ThreadWorkerPool,
     results: list[ShardResult],
     env: Environment,
     plan: InstrumentationPlan,
@@ -604,12 +347,11 @@ def _merge_results(
     marker: ShadowMarker | None,
     values: list[int],
     assignment: list[list[int]],
-    whole_block: bool = False,
 ) -> DoallRun:
     """Fold the per-worker shard results into one :class:`DoallRun`.
 
     This is the paper's cross-processor merge phase plus the bookkeeping
-    that re-creates exactly the state the emulated executor would have
+    that re-creates exactly the state a single-process executor would have
     left behind: merged shadows in ``marker``, full private-copy and
     partial structures with the owned rows/maps written back, per-
     processor scalar environments, the dense iteration-cost list, and
@@ -676,10 +418,9 @@ def _merge_results(
         aborted=any(result.aborted for result in results),
         executed_iterations=sum(result.executed for result in results),
         engine_used=(
-            "vectorized"
-            if whole_block
-            and not any(result.fallback for result in results)
-            else "compiled"
+            "compiled"
+            if any(result.fallback for result in results)
+            else "vectorized"
         ),
         fallback_reason=next(
             (result.fallback for result in results if result.fallback), None

@@ -1,8 +1,8 @@
 """Per-run observation records — what the runtime learned from one run.
 
 Every strategy execution of a loop leaves one :class:`RunObservation`
-in the loop's profile: which engine actually ran, on which worker
-backend, the measured wall clock (total and the doall phase alone), the
+in the loop's profile: which engine actually ran, the measured wall
+clock (total and the doall phase alone), the
 test verdict, any engine-fallback reason, and the strip size a
 strip-mined run converged on.  The feedback-driven planner consumes
 these (per-engine means, failure rates, warm strip sizes); persistence
@@ -23,8 +23,6 @@ class RunObservation:
     #: the engine that actually executed the doall (None when no doall
     #: ran — refused or eager-serial runs).
     engine: str | None
-    #: worker-pool flavour the run was configured with.
-    backend: str
     #: measured wall-clock seconds, whole strategy execution.
     wall_s: float
     #: measured wall-clock seconds of the doall phase alone — the
@@ -52,10 +50,11 @@ class RunObservation:
 
     @classmethod
     def from_json(cls, payload: dict) -> "RunObservation":
+        # Keys this record does not carry (e.g. ``backend`` from older
+        # profile files) are ignored, so those files still load.
         fields = {
             "strategy": str(payload["strategy"]),
             "engine": payload.get("engine"),
-            "backend": str(payload.get("backend", "fork")),
             "wall_s": float(payload.get("wall_s", 0.0)),
             "doall_s": float(payload.get("doall_s", 0.0)),
             "passed": payload.get("passed"),

@@ -7,7 +7,7 @@ layers:
   (loop identity, access-pattern signature), now LRU-bounded by entry
   count *and* estimated bytes, with hit/miss/eviction counters;
 * the **run ledger**: a bounded ring of :class:`RunObservation` records
-  per loop — engine, backend, measured wall clock, verdict, fallback
+  per loop — engine, measured wall clock, verdict, fallback
   reason, strip size — the substrate of the feedback-driven planner.
 
 Everything the runtime learns about a loop flows through this one

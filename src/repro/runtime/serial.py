@@ -46,7 +46,7 @@ def run_serial(
 
     ``engine`` names any registered execution engine; the registry
     substitutes the first serial-capable engine on its fallback chain
-    for doall-only engines (e.g. ``parallel`` → ``compiled``), recording
+    for doall-only engines (e.g. ``vectorized`` → ``compiled``), recording
     the substitution on the returned run.  All serial-capable engines
     produce identical state and identical operation counts.
     """

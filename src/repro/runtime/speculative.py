@@ -57,7 +57,7 @@ class SpeculativeOutcome:
     run: DoallRun
     stats: dict[str, float]
     #: measured wall-clock seconds per phase (real host time, recorded
-    #: for every engine; the interesting one is ``engine="parallel"``).
+    #: for every engine).
     wall: WallClock = field(default_factory=WallClock)
     #: the DOACROSS recovery tier's go/veto rationale (None when the run
     #: passed or recovery was not requested).
@@ -103,7 +103,6 @@ def run_speculative(
     marker: ShadowMarker | None = None,
     workers: int | None = None,
     pool=None,
-    backend: str = "fork",
     profiles=None,
     loop_key: str | None = None,
     recovery: bool = False,
@@ -119,7 +118,8 @@ def run_speculative(
 
     ``engine`` selects the doall iteration executor (see
     :func:`repro.runtime.doall.run_doall`); ``workers``/``pool`` are the
-    parallel engine's real process count / persistent worker pool.
+    thread-pool worker count / persistent worker pool that shard the
+    ``vectorized`` lanes.
     ``marker`` optionally recycles a previous attempt's shadow buffers
     (reset in place instead of reallocating seven numpy arrays per
     tested array); it must have been built for the same tested arrays
@@ -178,7 +178,6 @@ def run_speculative(
         values=loop_iteration_values(start, stop, step),
         workers=workers,
         pool=pool,
-        backend=backend,
         profiles=profiles,
         loop_key=loop_key,
     )
@@ -361,7 +360,6 @@ class SpeculationPipeline:
         marker: ShadowMarker | None = None,
         workers: int | None = None,
         pool=None,
-        backend: str = "fork",
         profiles=None,
         loop_key: str | None = None,
         recovery: bool = False,
@@ -388,9 +386,8 @@ class SpeculationPipeline:
         #: a caller-owned persistent worker pool (e.g. from a
         #: :class:`~repro.runtime.parallel_backend.WorkerPoolCache` kept
         #: across requests); when None and the engine shards, an
-        #: ephemeral pool is forked for this run and closed after it.
+        #: ephemeral pool is built for this run and closed after it.
         self.pool = pool
-        self.backend = backend
         self.profiles = profiles
         self.loop_key = loop_key
         #: re-execute failed strips as pipelined DOACROSSes when their
@@ -438,14 +435,13 @@ class SpeculationPipeline:
         strips committed their speculative state in order, failed strips
         were rolled back and re-executed serially in place.
 
-        When the engine shards onto real worker processes (a registry
-        capability query — see
+        When the engine shards over workers (a registry capability
+        query — see
         :meth:`~repro.runtime.engines.registry.EngineRegistry.needs_worker_pool`)
-        one persistent worker pool is reused for every strip (per-strip
-        fork would dwarf the strips' work): a caller-provided ``pool``
-        if one was passed (kept alive for the caller's next run), else a
-        pool forked here whose shared-memory segments are unlinked on
-        the way out even when a strip aborts or a worker raises.
+        one persistent worker pool is reused for every strip: a
+        caller-provided ``pool`` if one was passed (kept alive for the
+        caller's next run), else a pool built here and closed on the way
+        out even when a strip aborts or a worker raises.
         """
         from repro.runtime.engines import needs_worker_pool
 
@@ -453,21 +449,12 @@ class SpeculationPipeline:
             return self._run(self.pool)
         owned = None
         if needs_worker_pool(self.engine, self.workers):
-            from repro.runtime.parallel_backend import (
-                ShardSpec,
-                default_workers,
-                make_worker_pool,
-            )
+            from repro.runtime.parallel_backend import ShardSpec, ThreadWorkerPool
 
             spec = ShardSpec.from_plan(
                 self.program, self.loop, self.plan, self.env, self.sim.num_procs
             )
-            owned = make_worker_pool(
-                spec,
-                self.workers if self.workers is not None
-                else default_workers(self.sim.num_procs),
-                self.backend,
-            )
+            owned = ThreadWorkerPool(spec, self.workers)
         try:
             return self._run(owned)
         finally:
@@ -553,7 +540,6 @@ class SpeculationPipeline:
                 values=strip_values,
                 workers=self.workers,
                 pool=pool,
-                backend=self.backend,
                 profiles=self.profiles,
                 loop_key=self.loop_key,
             )

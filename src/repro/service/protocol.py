@@ -119,7 +119,6 @@ _JOB_FIELDS: dict[str, tuple[tuple[type, ...], object]] = {
     "test_mode": ((str,), "lrpd"),
     "engine": ((str,), "compiled"),
     "workers": ((int, type(None)), None),
-    "backend": ((str,), "fork"),
     "strip_size": ((int, type(None)), None),
     "adaptive_strips": ((bool,), False),
     "schedule_cache": ((bool,), True),
@@ -144,7 +143,6 @@ class JobRequest:
     test_mode: str = "lrpd"
     engine: str = "compiled"
     workers: int | None = None
-    backend: str = "fork"
     strip_size: int | None = None
     adaptive_strips: bool = False
     schedule_cache: bool = True
@@ -158,7 +156,7 @@ class JobRequest:
 
         Raises :class:`~repro.errors.ProtocolError` naming the offending
         field on unknown keys, wrong types, or a missing workload.
-        Names (workload, strategy, engine, backend, machine) are only
+        Names (workload, strategy, engine, machine) are only
         type-checked here — existence is the server's catalog/registry
         lookup, so this module stays import-light for thin clients.
         """

@@ -8,7 +8,7 @@ Architecture (one process, three layers):
   request; per-workload :class:`~repro.runtime.orchestrator.LoopRunner`
   instances persist across requests, so a repeated loop reuses its
   compiled plan, shadow marker, cached LRPD verdict
-  (schedule reuse — the whole test is skipped) and forked worker pools.
+  (schedule reuse — the whole test is skipped) and worker pools.
 * :class:`~repro.service.batching.JobQueue` — bounded intake with
   in-flight coalescing of identical (loop, configuration) jobs.
 * :class:`ReproServer` — the unix-socket protocol endpoint: one
@@ -22,7 +22,7 @@ Every request path replies — malformed lines, foreign protocol
 versions, unknown workloads, full queues and expired timeouts all
 produce a clean error message, never a hung client.  Graceful shutdown
 flushes the profile store to ``--profile-path`` and closes every worker
-pool, so no ``/dev/shm`` segment or worker process outlives the daemon.
+pool, so no worker thread outlives the daemon.
 """
 
 from __future__ import annotations
@@ -115,7 +115,6 @@ class LoopService:
                 test_mode=TestMode(job.test_mode),
                 engine=job.engine,
                 workers=job.workers,
-                backend=job.backend,
                 strip_size=job.strip_size,
                 adaptive_strip_sizing=job.adaptive_strips,
                 use_schedule_cache=job.schedule_cache,

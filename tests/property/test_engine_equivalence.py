@@ -32,16 +32,10 @@ from repro.runtime.engines import registry
 from repro.runtime.serial import run_serial
 from repro.runtime.speculative import run_speculative
 
-#: every registered engine that runs without forking real worker
-#: processes (a fork per hypothesis example is prohibitively slow; the
-#: multiprocess backend has its own parity suite in
-#: tests/runtime/test_parallel_backend.py and tests/property/
-#: test_parallel_props.py).
-IN_PROCESS_ENGINES = [
-    engine.name
-    for engine in registry.all()
-    if not engine.caps.requires_workers
-]
+#: every registered engine, run single-process (the worker-sharded
+#: path has its own parity suite in tests/runtime/test_thread_backend.py
+#: and tests/property/test_parallel_props.py).
+IN_PROCESS_ENGINES = registry.names()
 
 N = 8
 SIZE = 10

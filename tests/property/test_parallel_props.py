@@ -1,13 +1,15 @@
-"""Property: the multiprocess backend ≡ the compiled engine.
+"""Property: the worker-sharded vectorized engine ≡ the compiled engine.
 
 Random gather/scatter/reduction loops (the same shape as the engine-
 equivalence template) must produce identical LRPD outcomes, simulated
-times, stats, shadow counts and post-loop memory when executed on real
-worker processes with shared-memory shadow sets and the cross-processor
-merge.  Eagerly aborted runs are compared on the guaranteed surface
-only — the verdict and the rolled-back, serially recomputed memory —
-because workers abort at a local point, not the emulation's global
-round-robin point.
+times, stats, shadow counts and post-loop memory when their lanes are
+sharded across thread-pool workers with per-worker shadow sets and the
+cross-processor merge.  Each worker classifies and lowers its shard to
+the whole-block kernels, or falls back to the compiled per-iteration
+path inside the worker.  Eagerly aborted runs are compared on the
+guaranteed surface only — the verdict and the rolled-back, serially
+recomputed memory — because workers abort at a local point, not the
+emulation's global round-robin point.
 """
 
 from __future__ import annotations
@@ -47,8 +49,10 @@ spec_indices = st.lists(
 
 
 @settings(max_examples=20, deadline=None)
-@given(w=spec_indices, r=spec_indices, ridx=spec_indices, eager=st.booleans())
-def test_parallel_backend_agrees_with_compiled(w, r, ridx, eager):
+@given(w=spec_indices, r=spec_indices, ridx=spec_indices)
+def test_parallel_backend_agrees_with_compiled(w, r, ridx):
+    """Under eager (on-the-fly) detection, where a shard may abort at
+    its own local point, the sharded run still agrees with compiled."""
     inputs = {
         "n": SPEC_N,
         "w": np.array(w),
@@ -62,32 +66,33 @@ def test_parallel_backend_agrees_with_compiled(w, r, ridx, eager):
 
     outcomes = {}
     envs = {}
-    for engine in ("compiled", "parallel"):
+    for engine in ("compiled", "vectorized"):
         program = parse(SPEC_TEMPLATE)
         plan = build_plan(program)
         env = Environment(program, inputs)
         sim = DoallSimulator(fx80().with_procs(4), ScheduleKind.BLOCK)
         outcomes[engine] = run_speculative(
             program, plan.loop, env, plan, sim,
-            eager=eager, engine=engine, workers=2,
+            eager=True, engine=engine,
+            workers=2 if engine == "vectorized" else None,
         )
         envs[engine] = env
 
-    ref, par = outcomes["compiled"], outcomes["parallel"]
-    aborted = ref.run.aborted or par.run.aborted
-    assert ref.result.passed == par.result.passed
-    assert envs["compiled"].scalars == envs["parallel"].scalars
+    ref, sharded = outcomes["compiled"], outcomes["vectorized"]
+    aborted = ref.run.aborted or sharded.run.aborted
+    assert ref.result.passed == sharded.result.passed
+    assert envs["compiled"].scalars == envs["vectorized"].scalars
     for name in ("a", "s"):
         np.testing.assert_array_equal(
-            envs["compiled"].arrays[name], envs["parallel"].arrays[name]
+            envs["compiled"].arrays[name], envs["vectorized"].arrays[name]
         )
     if not aborted:
-        assert ref.result == par.result
-        assert ref.times == par.times
-        assert ref.stats == par.stats
-        assert ref.run.iteration_costs == par.run.iteration_costs
+        assert ref.result == sharded.result
+        assert ref.times == sharded.times
+        assert ref.stats == sharded.stats
+        assert ref.run.iteration_costs == sharded.run.iteration_costs
         for name, shadow in ref.run.marker.shadows.items():
-            other = par.run.marker.shadows[name]
+            other = sharded.run.marker.shadows[name]
             assert shadow.tw == other.tw
             assert shadow.tm == other.tm
             np.testing.assert_array_equal(shadow.w, other.w)
@@ -99,7 +104,7 @@ def test_parallel_backend_agrees_with_compiled(w, r, ridx, eager):
 @settings(max_examples=10, deadline=None)
 @given(w=spec_indices, r=spec_indices, ridx=spec_indices)
 def test_vectorized_worker_backend_agrees_with_compiled(w, r, ridx):
-    """The vectorized engine through real worker shards ≡ compiled.
+    """The vectorized engine through thread-pool worker shards ≡ compiled.
 
     Each worker classifies and lowers its shard to the whole-block
     kernels (or falls back to the compiled per-iteration path inside the

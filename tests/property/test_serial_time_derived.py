@@ -46,15 +46,9 @@ PROGRAMS = {
 PROGRAM_AST = {name: source_to_program(src) for name, src in PROGRAMS.items()}
 
 
-def _engine_config(engine) -> dict:
-    """Run-config fields for one registered engine: worker-requiring
-    engines shard onto two in-process threads (no fork per example)."""
-    if engine.caps.requires_workers:
-        return {"engine": engine.name, "workers": 2, "backend": "threads"}
-    return {"engine": engine.name}
-
-
-ENGINES = {engine.name: _engine_config(engine) for engine in registry.all()}
+ENGINES = {name: {"engine": name} for name in registry.names()}
+#: the worker-sharded path: vectorized lanes on two thread-pool workers.
+ENGINES["sharded"] = {"engine": "vectorized", "workers": 2}
 
 #: (strategy, extra RunConfig fields) — every speculative path.
 STRATEGIES = {
@@ -166,7 +160,7 @@ def test_schedule_reuse_serial_loop_time_equals_walk_oracle(
         assert report.serial_loop_time == expected
     if runner.plan.inspector_extractable:
         assert [r.reused_schedule for r in reports[:2]] == [False, True]
-        if not registry.get(engine_name).caps.planner:
+        if not registry.get(ENGINES[engine_name]["engine"]).caps.planner:
             # A planner may veto a loop that keeps failing instead.
             assert reports[2].reused_schedule
 

@@ -10,6 +10,8 @@ report, and a persisted store warms a brand-new runner immediately.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ PROCS = 4
 
 def _obs(engine, doall_s, *, passed=True, strip_size=None):
     return RunObservation(
-        strategy="speculative", engine=engine, backend="fork",
+        strategy="speculative", engine=engine,
         wall_s=doall_s, doall_s=doall_s, passed=passed,
         strip_size=strip_size,
     )
@@ -83,7 +85,7 @@ class TestColdStart:
             runner,
             _obs(None, 0.0, passed=None),
             RunObservation(strategy="speculative", engine="compiled",
-                           backend="fork", wall_s=0.1, doall_s=0.1,
+                           wall_s=0.1, doall_s=0.1,
                            passed=True, reused=True),
         )
         report = runner.run(Strategy.SPECULATIVE, _config("auto"))
@@ -142,11 +144,10 @@ class TestWarmExploit:
             _obs("compiled", 0.0001), _obs("compiled", 0.0001),
             _obs("vectorized", 0.002), _obs("vectorized", 0.002),
         )
-        cfg = _config("auto", workers=2, backend="threads")
+        cfg = _config("auto", workers=2)
         got = auto.run(Strategy.SPECULATIVE, cfg)
         ref = _runner(build).run(
-            Strategy.SPECULATIVE, _config("vectorized", workers=2,
-                                          backend="threads")
+            Strategy.SPECULATIVE, _config("vectorized", workers=2)
         )
         assert got.engine_used == "vectorized"
         _assert_reports_identical(ref, got)
@@ -382,6 +383,43 @@ class TestPersistenceAcrossRunners:
         (_key, reason), = report.engine_decisions
         assert "jit" not in reason
         assert "4 timed runs total" in reason
+
+    def test_retired_parallel_history_loads_and_is_ignored(self, tmp_path):
+        """A profile file written while the ``parallel`` engine and the
+        ``backend`` field existed still loads; the warm planner skips the
+        ``parallel`` observations, with or without a worker request."""
+        path = tmp_path / "profiles.json"
+        build = lambda: build_bdna(n=60)  # noqa: E731
+
+        trainer = _runner(build, profiles=LoopProfileStore(path=path))
+        _seed(
+            trainer,
+            _obs("parallel", 0.0001), _obs("parallel", 0.0001),
+            _obs("parallel", 0.0001),
+            _obs("compiled", 0.001), _obs("compiled", 0.003),
+            _obs("vectorized", 0.5), _obs("vectorized", 0.7),
+        )
+        trainer.profiles.save()
+        payload = json.loads(path.read_text())
+        for loop in payload["loops"].values():
+            for observation in loop["observations"]:
+                observation["backend"] = "fork"
+        path.write_text(json.dumps(payload))
+
+        fresh = _runner(build, profiles=LoopProfileStore(path=path))
+        assert fresh.profiles.load_error is None
+        engines = [o.engine for o in fresh.profiles.observations(fresh._loop_key())]
+        assert engines.count("parallel") == 3
+        report = fresh.run(Strategy.SPECULATIVE, _config("auto"))
+        assert report.engine_used == "compiled"
+        (_key, reason), = report.engine_decisions
+        assert "parallel" not in reason
+        assert "4 timed runs total" in reason
+        sharded = fresh.run(Strategy.SPECULATIVE, _config("auto", workers=2))
+        assert sharded.engine_used == "vectorized"
+        assert all(
+            "parallel" not in why for _key, why in sharded.engine_decisions
+        )
 
 
 class TestReportTelemetry:

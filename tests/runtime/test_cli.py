@@ -72,6 +72,23 @@ class TestRun:
         for name in engine_names():
             assert name in err
 
+    def test_retired_parallel_engine_rejected_with_registered_list(self, capsys):
+        from repro.runtime.engines import engine_names
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "bdna", "--engine", "parallel"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'parallel'" in err
+        for name in engine_names():
+            assert name in err
+
+    def test_retired_backend_flag_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "bdna", "--backend", "threads"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
 
 class TestVerboseFallbacks:
     def test_rejected_loop_prints_fallback_reason(self, capsys):
@@ -166,16 +183,16 @@ class TestReport:
         assert (target / "table2.txt").exists()
 
 
-class TestParallelEngine:
-    def test_run_parallel_engine_reports_wall_clock(self, capsys):
+class TestWorkers:
+    def test_run_sharded_vectorized_reports_wall_clock(self, capsys):
         assert main(
-            ["run", "mdg", "--procs", "4", "--engine", "parallel",
+            ["run", "mdg", "--procs", "4", "--engine", "vectorized",
              "--workers", "2"]
         ) == 0
         out = capsys.readouterr().out
         assert "speedup" in out
         assert "measured wall clock" in out
-        assert "engine=parallel" in out
+        assert "engine=vectorized" in out
 
     def test_workers_flag_requires_nothing_else(self, capsys):
         # --workers is inert under the default compiled engine.

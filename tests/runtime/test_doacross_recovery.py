@@ -3,7 +3,7 @@
 A failed LRPD run whose shadow stamps measure a min dependence distance
 ``d > 1`` re-executes as a priced pipelined DOACROSS instead of a plain
 serial re-run.  State must stay bit-identical to the rollback path on
-every configuration (whole-loop, stripped, real workers); the planner
+every configuration (whole-loop, stripped, worker-sharded); the planner
 arms the tier only when profiled history justifies it; and distance-≤1
 loops are vetoed deterministically.
 """
@@ -44,7 +44,7 @@ def _assert_matches_serial(runner: LoopRunner, report, config) -> None:
 
 def _obs(*, passed, recovered_fraction=None, sync_wait_cycles=0.0):
     return RunObservation(
-        strategy="speculative", engine="compiled", backend="fork",
+        strategy="speculative", engine="compiled",
         wall_s=0.01, doall_s=0.01, passed=passed,
         recovered_fraction=recovered_fraction,
         sync_wait_cycles=sync_wait_cycles,
@@ -154,7 +154,7 @@ class TestStrippedRecovery:
     def test_worker_sharded_strips_stay_bit_identical(self):
         runner = _runner()
         config = _config(
-            engine="parallel", backend="threads", workers=2, strip_size=50
+            engine="vectorized", workers=2, strip_size=50
         )
         report = runner.run(Strategy.DOACROSS_RECOVERY, config)
         assert report.stats["strips_recovered"] == 4.0

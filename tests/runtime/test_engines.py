@@ -57,7 +57,7 @@ class _StubEngine(ExecutionEngine):
 class TestRegistry:
     def test_builtin_engines_registered(self):
         assert engine_names() == [
-            "auto", "compiled", "doacross", "parallel", "vectorized", "walk"
+            "auto", "compiled", "doacross", "vectorized", "walk"
         ]
         assert DEFAULT_ENGINE in engine_names()
 
@@ -93,7 +93,11 @@ class TestRegistry:
         assert not get_engine("vectorized").caps.supports_serial
         assert get_engine("vectorized").caps.whole_block
         assert get_engine("vectorized").caps.needs_classifier
-        assert get_engine("parallel").caps.requires_workers
+        assert get_engine("vectorized").caps.supports_workers
+        assert [
+            name for name in engine_names()
+            if get_engine(name).caps.supports_workers
+        ] == ["auto", "vectorized"]
         assert get_engine("auto").caps.planner
         assert get_engine("doacross").caps.recovery
         assert not get_engine("doacross").caps.supports_serial
@@ -127,7 +131,7 @@ class TestRegistry:
             assert registry.serial_engine_for(name) == (name, None)
 
     @pytest.mark.parametrize(
-        "name", ["parallel", "vectorized", "auto", "doacross"]
+        "name", ["vectorized", "auto", "doacross"]
     )
     def test_serial_engine_for_substitutes(self, name):
         serial_name, reason = registry.serial_engine_for(name)
@@ -135,8 +139,6 @@ class TestRegistry:
         assert name in reason and "compiled" in reason
 
     def test_needs_worker_pool(self):
-        assert registry.needs_worker_pool("parallel", None)
-        assert registry.needs_worker_pool("parallel", 2)
         assert registry.needs_worker_pool("vectorized", 2)
         assert not registry.needs_worker_pool("vectorized", None)
         assert registry.needs_worker_pool("auto", 2)
@@ -164,6 +166,14 @@ class TestValidation:
         for name in engine_names():
             assert name in message
 
+    def test_retired_parallel_engine_is_unknown(self):
+        with pytest.raises(UnknownEngineError) as excinfo:
+            RunConfig(engine="parallel")
+        message = str(excinfo.value)
+        assert "'parallel'" in message
+        for name in engine_names():
+            assert name in message
+
     def test_run_config_accepts_registered_engines(self):
         for name in engine_names():
             assert RunConfig(engine=name).engine == name
@@ -182,9 +192,9 @@ class TestValidation:
     def test_serial_run_records_substitution(self):
         workload = build_bdna(n=40)
         runner = LoopRunner(workload.program(), workload.inputs)
-        substituted = runner.serial_run(fx80(), "parallel")
+        substituted = runner.serial_run(fx80(), "vectorized")
         assert substituted.engine == "compiled"
-        assert "parallel" in substituted.engine_substitution
+        assert "vectorized" in substituted.engine_substitution
         direct = runner.serial_run(fx80(), "compiled")
         assert direct.engine_substitution is None
         assert direct.loop_time == substituted.loop_time
@@ -244,10 +254,13 @@ class TestPlanner:
         assert decision.engine == "compiled"
         assert "below" in decision.reason
 
-    def test_rejected_loop_with_workers_picks_parallel(self):
+    def test_rejected_loop_with_workers_picks_compiled(self):
+        """Only the whole-block engine shards: a rejected loop runs
+        compiled in-process and says the workers went unused."""
         decision = self._plan(build_spice(n=80), trip_count=80, workers=2)
-        assert decision.engine == "parallel"
-        assert "2 workers" in decision.reason
+        assert decision.engine == "compiled"
+        assert "rejected" in decision.reason
+        assert "2 requested workers were not used" in decision.reason
 
 
 class TestAutoEngine:

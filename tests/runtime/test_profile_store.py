@@ -43,7 +43,7 @@ def _obs(engine, doall_s, *, passed=True, strip_size=None, reused=False,
          strategy="speculative", recovered_fraction=None,
          sync_wait_cycles=0.0):
     return RunObservation(
-        strategy=strategy, engine=engine, backend="fork",
+        strategy=strategy, engine=engine,
         wall_s=doall_s, doall_s=doall_s, passed=passed,
         strip_size=strip_size, reused=reused,
         recovered_fraction=recovered_fraction,

@@ -119,7 +119,7 @@ class TestWholeBlockParity:
 
 class TestComposition:
     """The vectorized engine composes with the strip pipeline and the
-    multiprocess backend without perturbing a single observable."""
+    thread-pool worker sharding without perturbing a single observable."""
 
     def _reports(self, config_kwargs):
         reports = {}

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from repro.errors import JobRejected, ServiceConnectionError
+from repro.runtime.engines import engine_names
 from repro.service.client import ReproClient
 from repro.service.protocol import FORMAT, VERSION, JobRequest
 
@@ -84,6 +85,13 @@ class TestBadJobs:
                 client.submit({"workload": "synthpass", "speed": "max"})
         assert info.value.code == "invalid-job"
 
+    def test_retired_backend_field_rejected_by_name(self, harness):
+        with ReproClient(harness.socket_path, timeout=10.0) as client:
+            with pytest.raises(JobRejected, match="unknown job field") as info:
+                client.submit({"workload": "synthpass", "backend": "threads"})
+        assert info.value.code == "invalid-job"
+        assert "backend" in str(info.value)
+
     def test_unknown_workload(self, harness):
         with ReproClient(harness.socket_path, timeout=30.0) as client:
             with pytest.raises(JobRejected, match="servable") as info:
@@ -102,6 +110,19 @@ class TestBadJobs:
                 client.submit(JobRequest(workload="synthpass", engine="jit"))
             assert info.value.code == "invalid-job"
             assert "'jit'" in str(info.value)
+            report = client.submit(JobRequest(workload="synthpass", procs=2))
+            assert report.passed is True
+
+    def test_retired_parallel_engine_rejected_and_daemon_keeps_serving(
+        self, harness
+    ):
+        with ReproClient(harness.socket_path, timeout=30.0) as client:
+            with pytest.raises(JobRejected, match="registered engines") as info:
+                client.submit(JobRequest(workload="synthpass", engine="parallel"))
+            assert info.value.code == "invalid-job"
+            assert "'parallel'" in str(info.value)
+            for name in engine_names():
+                assert name in str(info.value)
             report = client.submit(JobRequest(workload="synthpass", procs=2))
             assert report.passed is True
 

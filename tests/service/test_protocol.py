@@ -88,6 +88,10 @@ class TestJobRequest:
         with pytest.raises(ProtocolError, match="strip_sizes"):
             JobRequest.from_json({"workload": "x", "strip_sizes": 4})
 
+    def test_rejects_retired_backend_field(self):
+        with pytest.raises(ProtocolError, match="unknown job field.*backend"):
+            JobRequest.from_json({"workload": "x", "backend": "threads"})
+
     def test_rejects_wrong_type(self):
         with pytest.raises(ProtocolError, match="procs"):
             JobRequest.from_json({"workload": "x", "procs": "four"})

@@ -66,8 +66,8 @@ class TestServedExecution:
 
     def test_worker_pools_persist_across_requests(self, harness):
         job = JobRequest(
-            workload="synthpass", procs=2, engine="parallel",
-            workers=2, backend="threads", schedule_cache=False,
+            workload="synthpass", procs=2, engine="vectorized",
+            workers=2, schedule_cache=False,
         )
         with ReproClient(harness.socket_path, timeout=60.0) as client:
             client.submit(job)
