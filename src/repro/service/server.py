@@ -351,12 +351,21 @@ async def _serve_async(server: ReproServer, *, banner=None) -> None:
 
     await server.start()
     loop = asyncio.get_running_loop()
+    handled = []
     for signum in (signal.SIGINT, signal.SIGTERM):
         with contextlib.suppress(NotImplementedError, RuntimeError):
             loop.add_signal_handler(signum, server.request_shutdown)
+            handled.append(signum)
     if banner is not None:
         print(banner, flush=True)
     await server.serve_until_shutdown()
+    # Shutdown is done: closing the loop would restore the default
+    # dispositions, so a signal sent after the shutdown op (a supervisor
+    # terminating the daemon it just asked to stop) would kill the
+    # process on its way out.  Ignore further stop signals instead.
+    for signum in handled:
+        loop.remove_signal_handler(signum)
+        signal.signal(signum, signal.SIG_IGN)
 
 
 def serve_forever(

@@ -124,12 +124,16 @@ def _shard_spec(workload):
 @pytest.mark.parametrize(
     "name", ["BDNA_ACTFOR_do240", "MDG_INTERF_do1000", "OCEAN_FTRVMT_do109"]
 )
-def test_paper_loop_parity(name):
+def test_threads_match_fork_and_compiled(name):
+    """The thread-sharded run matches the compiled engine and the
+    single-process vectorized run (the in-process counterpart that
+    replaced the retired fork backend as the second reference)."""
     workload = PAPER_LOOPS[name]()
     compiled, env_c = spec_outcome(workload, "compiled")
-    sharded, env_s = sharded_outcome(workload, 3)
-    assert compiled.result.passed and sharded.result.passed
-    assert_full_parity(compiled, sharded, env_c, env_s)
+    single, env_1 = spec_outcome(workload, "vectorized")
+    threads, env_t = sharded_outcome(workload, 3)
+    assert_full_parity(compiled, threads, env_c, env_t)
+    assert_full_parity(single, threads, env_1, env_t)
 
 
 def test_copied_out_last_values_match():
@@ -169,13 +173,14 @@ def test_aborted_shard_merges_identically():
     """Eager abort inside a shard: the surviving marks of every shard —
     including the aborted one — must fold back to a fail (mark
     monotonicity under the merge), and the rolled-back + serially
-    recomputed memory must match the compiled engine exactly."""
+    recomputed memory must match the single-process vectorized run
+    exactly."""
     workload = build_dependence_injected(n=80, dep_fraction=0.25)
-    compiled, env_c = spec_outcome(workload, "compiled", eager=True)
+    single, env_1 = spec_outcome(workload, "vectorized", eager=True)
     sharded, env_s = sharded_outcome(workload, 2, eager=True)
-    assert compiled.run.aborted and sharded.run.aborted
-    assert not compiled.result.passed and not sharded.result.passed
-    assert_env_equal(env_c, env_s)
+    assert single.run.aborted and sharded.run.aborted
+    assert not single.result.passed and not sharded.result.passed
+    assert_env_equal(env_1, env_s)
 
 
 def test_stripped_strategy_parity():
@@ -199,6 +204,35 @@ def test_stripped_strategy_parity():
         (s.passed, s.aborted, s.iterations) for s in sharded.strips
     ]
     assert_env_equal(compiled.env, sharded.env)
+
+
+def test_whole_block_shards_over_threads():
+    """Sharding a whole-block run over two threads is unobservable next
+    to the same engine run in one process."""
+    single, env_1 = spec_outcome(build_bdna(n=60), "vectorized")
+    threads, env_t = sharded_outcome(build_bdna(n=60), 2)
+    assert threads.run.engine_used == "vectorized"
+    assert_full_parity(single, threads, env_1, env_t)
+
+
+def test_stripped_pipeline_over_threads():
+    def report(workers):
+        workload = build_bdna(n=60)
+        runner = LoopRunner(workload.program(), workload.inputs)
+        cfg = RunConfig(
+            model=fx80().with_procs(8), engine="vectorized",
+            workers=workers, strip_size=16,
+        )
+        return runner.run(Strategy.STRIPPED, cfg)
+
+    single = report(None)
+    threads = report(2)
+    assert threads.times.as_dict() == single.times.as_dict()
+    assert threads.stats == single.stats
+    for name in single.env.arrays:
+        np.testing.assert_array_equal(
+            single.env.arrays[name], threads.env.arrays[name], err_msg=name
+        )
 
 
 # -- worker-count edges -------------------------------------------------------

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import asyncio
 import os
+import signal
 import threading
+import time
 
 from repro.service.client import ReproClient
 from repro.service.protocol import JobRequest, comparable_payload
-from repro.service.server import LoopService
+from repro.service.server import LoopService, ReproServer, _serve_async
+
+from tests.service.conftest import short_socket_path
 
 
 class TestOps:
@@ -126,3 +131,32 @@ class TestShutdown:
         harness._thread.join(timeout=10.0)
         assert not harness._thread.is_alive()
         assert not harness.socket_path.exists()
+
+    def test_stop_signals_after_shutdown_are_ignored(self):
+        """A daemon asked to stop and then sent SIGTERM (the smoke
+        test's teardown) must still exit cleanly, so once shutdown is
+        done the stop signals are ignored rather than reset to their
+        fatal defaults."""
+        socket_path = short_socket_path()
+        server = ReproServer(socket_path)
+
+        def stop_when_up():
+            deadline = time.monotonic() + 10.0
+            while not socket_path.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            with ReproClient(socket_path, timeout=10.0) as client:
+                client.shutdown_server()
+
+        saved = {s: signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)}
+        stopper = threading.Thread(target=stop_when_up)
+        stopper.start()
+        try:
+            asyncio.run(_serve_async(server))
+            stopper.join(timeout=10.0)
+            assert signal.getsignal(signal.SIGTERM) == signal.SIG_IGN
+            assert signal.getsignal(signal.SIGINT) == signal.SIG_IGN
+            os.kill(os.getpid(), signal.SIGTERM)
+        finally:
+            for signum, handler in saved.items():
+                signal.signal(signum, handler)
+        assert not socket_path.exists()
