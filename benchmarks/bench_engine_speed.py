@@ -30,6 +30,7 @@ from repro.runtime.orchestrator import LoopRunner, RunConfig, Strategy
 from repro.runtime.serial import run_serial
 from repro.runtime.speculative import run_speculative
 from repro.workloads.bdna import build_bdna
+from repro.workloads.spice import build_spice
 from repro.workloads.synthetic import build_synthdoacross
 from repro.workloads.track import build_track
 
@@ -278,6 +279,82 @@ def test_engine_speed_transcendental(benchmark, artifact):
         "\n".join(
             [
                 f"Execution engines on TRACK n={len(workload.inputs['data'])} "
+                f"(speculative protocol, p={PROCS}, best of {ROUNDS})",
+                f"compiled engine  : {fast_wall * 1000:8.1f} ms wall clock",
+                f"vectorized engine: {vec_wall * 1000:8.1f} ms wall clock "
+                f"({ratio:.2f}x)",
+                f"block committed vectorized: "
+                f"{vec_out.run.engine_used == 'vectorized'}",
+                f"LRPD passed (both engines): {fast_out.result.passed}",
+                f"identical simulated times : {fast_out.times == vec_out.times}",
+            ]
+        ),
+    )
+
+    # The block must commit — a silent fallback would time compiled twice.
+    assert vec_out.run.engine_used == "vectorized"
+    assert vec_out.run.fallback_reason is None
+    # Bit-identical simulated protocol under both engines.
+    assert fast_out.result == vec_out.result
+    assert fast_out.result.passed
+    assert fast_out.times == vec_out.times
+    assert fast_out.stats == vec_out.stats
+    assert fast_out.run.iteration_costs == vec_out.run.iteration_costs
+    _assert_same_env(fast_env, vec_env)
+
+
+def test_engine_speed_spice(benchmark, artifact):
+    """The vectorized engine on SPICE, which reduces ``y`` through the
+    private temporary ``t`` in both arms of an ``if``.
+
+    The lanes log each contribution for the exec-order partial fold
+    instead of materializing the running value, so the block commits
+    whole instead of degrading to compiled.  The block must commit (no
+    fallback) and every observable must match the compiled engine.
+    """
+    workload = build_spice()
+    program = parse(workload.source)
+    plan = build_plan(program)
+    loop = plan.loop
+    before, _after = split_at_loop(program, loop)
+
+    # The serial linked-list traversal ahead of the doall runs once, on
+    # the tree walker; each timed run starts from a copy of its state.
+    entry = Environment(program, workload.inputs)
+    Interpreter(program, entry, value_based=False).exec_block(before)
+
+    def speculative(engine: str):
+        env = entry.copy()
+        sim = DoallSimulator(fx80().with_procs(PROCS), ScheduleKind.BLOCK)
+        outcome = run_speculative(program, loop, env, plan, sim, engine=engine)
+        return outcome, _env_state(env)
+
+    def measure():
+        calibration_s = calibrate()
+        fast, vec = paired_min_wall(
+            lambda: speculative("compiled"), lambda: speculative("vectorized"),
+            rounds=ROUNDS,
+        )
+        return calibration_s, fast, vec
+
+    calibration_s, (fast_wall, (fast_out, fast_env)), (vec_wall, (vec_out, vec_env)) = (
+        run_once(benchmark, measure)
+    )
+    ratio = fast_wall / vec_wall
+
+    write_bench_json(
+        "engine_speed",
+        calibration_s,
+        {"vectorized_spice": vec_wall},
+        extra={"compiled_over_vectorized_spice": ratio},
+        merge=True,
+    )
+
+    artifact(
+        "engine_speed_spice",
+        "\n".join(
+            [
+                f"Execution engines on SPICE n={workload.inputs['n']} "
                 f"(speculative protocol, p={PROCS}, best of {ROUNDS})",
                 f"compiled engine  : {fast_wall * 1000:8.1f} ms wall clock",
                 f"vectorized engine: {vec_wall * 1000:8.1f} ms wall clock "

@@ -626,6 +626,14 @@ def find_reductions(
         for init in inits_in(record.rhs):
             execu.escaped_inits.add(init.name)
 
+    # A live-out scalar's final value is observed after the loop, so the
+    # loads it carries escape too: a reduction temporary read after the
+    # loop would otherwise be left holding one processor's partial
+    # running value instead of the serial one.
+    for name in live_out_scalars:
+        for load in loads_in(execu.env.get(name, SInit(name))):
+            escaped.add(load.ref_id)
+
     for record, op, load_ids in provisional:
         if load_ids & escaped:
             continue  # the loaded value is also used elsewhere

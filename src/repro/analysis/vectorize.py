@@ -5,11 +5,16 @@ kernels (:mod:`repro.interp.vectorized_spec`): straight-line
 gather/compute/scatter assignments, mask-convertible ``if``s, nested
 counted ``do`` loops, and syntactically matched reductions — array
 ``A(e) = A(e) op rest`` updates and scalar ``s = s op rest`` /
-``s = max(s, rest)`` / ``s = min(rest, s)`` folds.  Everything else —
-``while`` loops, writes to untested shared arrays, reduction dataflow
-through temporaries, dynamic-kind operators (``**``) — is rejected with
-a recorded reason, and the caller falls back to the compiled
-per-iteration engine.
+``s = max(s, rest)`` / ``s = min(rest, s)`` folds — plus the array
+reduction that flows through a private scalar temporary, ``t = A(e) op
+rest; ...; A(e) = t`` (SPICE LOAD do40), when forward substitution
+(:func:`repro.analysis.reduction.find_reductions`) validated it and the
+temporary is a pure carrier: the store is its only reader, it is dead
+after the loop, and no other update of ``A`` sits between the load and
+the store.  Everything else — ``while`` loops, writes to untested shared
+arrays, any other read of a reduction array, dynamic-kind operators
+(``**``) — is rejected with a recorded reason, and the caller falls back
+to the compiled per-iteration engine.
 
 The classifier is deliberately conservative: acceptance promises that
 the vectorized lowering is *bit-identical* to the compiled engine on
@@ -21,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+from repro.analysis.reduction import ReductionCandidate
 from repro.dsl.ast_nodes import (
     ArrayRef,
     Assign,
@@ -79,7 +85,13 @@ class _Classifier:
         self.tested = set(plan.tested_arrays)
         self.redux_refs: Mapping[int, str] = plan.redux_refs
         self.scalar_reductions: Mapping[str, str] = plan.scalar_reductions
+        self.live_out: frozenset[str] = frozenset(plan.live_out_scalars)
+        self.candidates = plan.reductions.candidates
         self._redux_ops_seen: dict[str, set[str]] = {}
+        #: accepted reductions through a temporary: the store's ref_id,
+        #: and id() of each ``t = A(e) op rest`` assignment feeding it.
+        self.temp_stores: set[int] = set()
+        self.temp_assigns: dict[int, ReductionCandidate] = {}
 
     # -- expression kinds ---------------------------------------------------
 
@@ -182,6 +194,18 @@ class _Classifier:
             if target.name in self.scalar_reductions:
                 self.check_scalar_reduction(stmt)
                 return
+            cand = self.temp_assigns.get(id(stmt))
+            if cand is not None:
+                # ``t = A(e) op rest``: the load is the candidate's own;
+                # only its subscript and the contribution are checked.
+                load, rest = self.split_update(
+                    stmt.expr, cand.op,
+                    lambda node: node.ref_id in cand.load_ref_ids,
+                )
+                self.check_expr(load.index)
+                self._forbid_redux_loads(rest)
+                self.check_expr(rest)
+                return
             self.check_expr(stmt.expr)
             return
         assert isinstance(target, ArrayRef)
@@ -200,10 +224,9 @@ class _Classifier:
         self.check_expr(stmt.expr)
 
     def check_array_reduction(self, stmt: Assign, target: ArrayRef) -> None:
-        """Accept only the direct forms ``A(e) = A(e) ± rest``,
-        ``A(e) = rest + A(e)`` / ``rest * A(e)``, ``A(e) = A(e) * rest``:
-        the per-row contribution is then ``rest`` (negated for ``-``) and
-        the partial is a pure exec-order ufunc fold."""
+        """Accept only the direct forms of :meth:`split_update`, or
+        ``A(e) = t`` for a temporary :meth:`find_reduction_temporaries`
+        accepted."""
         if self.kinds.get(target.name) == "integer":
             raise _Reject(
                 f"integer-kind reduction array {target.name!r} "
@@ -216,14 +239,25 @@ class _Classifier:
                 f"mixed reduction operators on {target.name!r} "
                 "(a single exec-order ufunc fold cannot interleave them)"
             )
-        rest = self.reduction_rest(stmt, target)
+        if target.ref_id in self.temp_stores:
+            return  # ``A(e) = t``: the temporary's assignments carry the rest
+        _load, rest = self.split_update(
+            stmt.expr,
+            self.redux_refs[target.ref_id],
+            lambda node: (
+                node.name == target.name
+                and expr_equal(node.index, target.index)
+            ),
+        )
         self._forbid_redux_loads(rest)
         self.check_expr(rest)
 
-    def reduction_rest(self, stmt: Assign, target: ArrayRef) -> Expr:
-        """The non-self operand of a direct reduction update (validated)."""
-        expr = stmt.expr
-        op = self.redux_refs[target.ref_id]
+    def split_update(self, expr: Expr, op: str, is_own) -> tuple[ArrayRef, Expr]:
+        """``(self load, rest)`` of a direct ``op``-reduction update
+        ``A(e) ± rest``, ``rest + A(e)``, ``A(e) * rest`` or ``rest *
+        A(e)``, the self load being a reduction reference ``is_own``
+        accepts: the per-row contribution is then ``rest`` (negated for
+        ``-``) and the partial is a pure exec-order ufunc fold."""
         if op not in ("+", "*"):
             raise _Reject(f"{op}-reduction is not vectorizable")
         if not isinstance(expr, BinOp):
@@ -232,17 +266,89 @@ class _Classifier:
         def is_self(node: Expr) -> bool:
             return (
                 isinstance(node, ArrayRef)
-                and node.name == target.name
                 and self.redux_refs.get(node.ref_id) is not None
-                and expr_equal(node.index, target.index)
+                and is_own(node)
             )
 
         allowed = ("+", "-") if op == "+" else ("*",)
         if expr.op in allowed and is_self(expr.left):
-            return expr.right
+            return expr.left, expr.right
         if expr.op in ("+", "*") and expr.op in allowed and is_self(expr.right):
-            return expr.left
+            return expr.right, expr.left
         raise _Reject("reduction dataflow through temporaries")
+
+    def find_reduction_temporaries(self, body: list[Stmt]) -> None:
+        """Accept each validated reduction whose store is ``A(e) = t``
+        and whose temporary ``t`` is a pure carrier of ``A(e) op rest``.
+
+        :func:`~repro.analysis.reduction.find_reductions` already proved
+        the store's value is the candidate's own load ⊕ a contribution on
+        every path.  For the lanes to log that contribution instead of
+        materializing the running value, ``t`` must also be: real-kind,
+        dead after the loop, read by that store alone, assigned only in
+        direct form from the candidate's loads, in the store's own loop
+        nest and ahead of it, with no other update of ``A`` in between.
+        Anything short of that leaves the loads to the existing
+        "reduction-array load outside its own update statement" reject.
+        """
+        stmts = list(_walk_with_nest(body, ()))
+        for cand in self.candidates:
+            found = [
+                (at, nest, stmt) for at, (stmt, nest) in enumerate(stmts)
+                if isinstance(stmt, Assign)
+                and isinstance(stmt.target, ArrayRef)
+                and stmt.target.ref_id == cand.store_ref_id
+            ]
+            if len(found) != 1 or not isinstance(found[0][2].expr, Var):
+                continue
+            store_at, store_nest, store = found[0]
+            temp = store.expr.name
+            if (
+                temp in self.live_out
+                or temp in self.scalar_reductions
+                or self.kinds.get(temp) != "real"
+                or _scalar_reads(stmts, temp) != 1
+            ):
+                continue
+            assigns = [
+                (at, nest, stmt) for at, (stmt, nest) in enumerate(stmts)
+                if (isinstance(stmt, Assign) and isinstance(stmt.target, Var)
+                    and stmt.target.name == temp)
+                or (isinstance(stmt, Do) and stmt.var == temp)
+            ]
+            if not assigns or not all(
+                self._feeds_store(
+                    stmts, stmt, at, nest, store_at, store_nest, cand
+                )
+                for at, nest, stmt in assigns
+            ):
+                continue
+            self.temp_stores.add(cand.store_ref_id)
+            self.temp_assigns.update(
+                (id(stmt), cand) for _at, _n, stmt in assigns
+            )
+
+    def _feeds_store(
+        self, stmts, stmt, at, nest, store_at, store_nest, cand
+    ) -> bool:
+        if not isinstance(stmt, Assign) or nest != store_nest or at > store_at:
+            return False
+        try:
+            self.split_update(
+                stmt.expr,
+                cand.op,
+                lambda node: (
+                    node.name == cand.array and node.ref_id in cand.load_ref_ids
+                ),
+            )
+        except _Reject:
+            return False
+        return not any(
+            isinstance(other, Assign)
+            and isinstance(other.target, ArrayRef)
+            and other.target.name == cand.array
+            for other, _nest in stmts[at + 1:store_at]
+        )
 
     def check_scalar_reduction(self, stmt: Assign) -> None:
         rest = self.scalar_reduction_rest(stmt)
@@ -359,9 +465,38 @@ def classify_loop(program: Program, loop: Do, plan) -> VectorizeDecision:
     classifier = _Classifier(program, plan)
     if classifier.kinds.get(loop.var) is None:
         return _reject(f"undeclared loop variable {loop.var!r}")
+    classifier.find_reduction_temporaries(loop.body)
     try:
         classifier.check_scalar_reduction_usage(loop.body)
         classifier.check_block(loop.body)
     except _Reject as reject:
         return _reject(reject.reason)
     return VectorizeDecision(True)
+
+
+def _walk_with_nest(body: list[Stmt], nest: tuple):
+    """Pre-order ``(statement, enclosing inner-loop ids)`` pairs; ``if``
+    arms share their parent's nest."""
+    for stmt in body:
+        yield stmt, nest
+        if isinstance(stmt, If):
+            yield from _walk_with_nest(stmt.then_body, nest)
+            yield from _walk_with_nest(stmt.else_body, nest)
+        elif isinstance(stmt, (Do, While)):
+            yield from _walk_with_nest(stmt.body, nest + (id(stmt),))
+
+
+def _scalar_reads(stmts, name: str) -> int:
+    """How many times the statements read scalar ``name``."""
+    from repro.dsl.ast_nodes import statement_expressions, walk_expressions
+
+    count = 0
+    for stmt, _nest in stmts:
+        for expr in statement_expressions(stmt):
+            if isinstance(expr, Var) and expr is getattr(stmt, "target", None):
+                continue  # the assigned scalar, not a read
+            count += sum(
+                1 for node in walk_expressions(expr)
+                if isinstance(node, Var) and node.name == name
+            )
+    return count

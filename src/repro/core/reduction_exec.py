@@ -92,9 +92,10 @@ class ReductionPartials:
         already rejected, so the first-seen operator per element is used.
         """
         merged: dict[int, tuple[str, float]] = {}
+        valid = None if valid_mask is None else valid_mask.tolist()
         for partial in self._partials:
             for index, (op, value) in partial.items():
-                if valid_mask is not None and not valid_mask[index]:
+                if valid is not None and not valid[index]:
                     continue
                 if index in merged:
                     prev_op, prev = merged[index]

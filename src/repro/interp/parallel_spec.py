@@ -37,6 +37,7 @@ from repro.core.reduction_exec import REDUCTION_IDENTITY, ReductionPartials
 from repro.core.shadow import Granularity, ShadowMarker
 from repro.dsl.ast_nodes import Do, Program
 from repro.errors import SpeculationFailed
+from repro.analysis.reduction import ReductionReport
 from repro.analysis.vectorize import classify_loop
 from repro.interp.compiled_spec import CompiledSpecLoop
 from repro.interp.costs import CostCounter, IterationCost
@@ -62,6 +63,9 @@ class ShardSpec:
     redux_refs: dict[int, str]
     scalar_reductions: dict[str, str]
     live_out_scalars: frozenset[str]
+    #: the forward-substitution report (the classifier reads its
+    #: candidates to accept reductions through temporaries).
+    reductions: ReductionReport
     #: arrays the doall writes in place (checkpointed minus transformed).
     inplace_arrays: tuple[str, ...]
     num_procs: int
@@ -83,6 +87,7 @@ class ShardSpec:
             redux_refs=dict(plan.redux_refs),
             scalar_reductions=dict(plan.scalar_reductions),
             live_out_scalars=plan.live_out_scalars,
+            reductions=plan.reductions,
             inplace_arrays=inplace,
             num_procs=num_procs,
             shadow_sizes={

@@ -226,6 +226,27 @@ class _PrivateState:
             self.vals = np.insert(self.vals, at[fresh], vals[fresh])
 
 
+class _ReduxTemp:
+    """Per-lane state of a scalar temporary carrying one array reduction
+    (``t = A(e) op rest; ...; A(e) = t``, classifier-accepted).
+
+    The lanes never hold the running value ``A(e) op rest``; they hold
+    the element index, the contribution ``rest`` (negated for ``-``) and
+    the sequence number of the assignment, so the store can log the
+    contribution for the exec-order partial fold and the commit can
+    reproduce each processor's final ``t`` exactly.
+    """
+
+    __slots__ = ("array", "op", "idx0", "contrib", "seq")
+
+    def __init__(self, array: str, op: str, rows: int):
+        self.array = array
+        self.op = op
+        self.idx0 = np.zeros(rows, dtype=_I64)
+        self.contrib = np.zeros(rows, dtype=np.float64)
+        self.seq = np.full(rows, -1, dtype=_I64)
+
+
 def execute_vectorized_block(
     program: Program,
     loop: Do,
@@ -310,9 +331,10 @@ class _BlockExecutor:
         proc_of = np.zeros(len(values), dtype=_I64)
         k_of = np.zeros(len(values), dtype=_I64)
         for proc, plist in enumerate(assignment):
-            for k, pos in enumerate(plist):
-                proc_of[pos] = proc
-                k_of[pos] = k
+            if len(plist):
+                at = np.asarray(plist, dtype=_I64)
+                proc_of[at] = proc
+                k_of[at] = np.arange(at.size, dtype=_I64)
         self.proc_of = proc_of[self.positions]
         self.k_of = k_of[self.positions]
         #: deterministic round-robin execution order of the lanes.
@@ -340,6 +362,7 @@ class _BlockExecutor:
         #: form is ``(fold step, self operand first)``.
         self.scalar_redux_logs: dict[str, list] = {}
         self.private_states: dict[str, _PrivateState] = {}
+        self.redux_temps: dict[str, _ReduxTemp] = {}
 
         self.assigned_in_body: set[str] = {loop.var}
         for stmt in walk_statements(loop.body):
@@ -898,6 +921,12 @@ class _BlockExecutor:
             if target.name in self.scalar_reductions:
                 self._exec_scalar_reduction(stmt, mask)
                 return
+            expr = stmt.expr
+            if isinstance(expr, BinOp) and (
+                self._is_redux_load(expr.left) or self._is_redux_load(expr.right)
+            ):
+                self._exec_redux_temp(stmt, mask)
+                return
             val = self.eval_expr(stmt.expr, mask)
             self._set_scalar(
                 target.name, val, mask, charge=True, clear_taints=True
@@ -932,62 +961,57 @@ class _BlockExecutor:
         if name in self.tested:
             self._emit(name, idx0, mask, KIND_WRITE)
 
-    def _exec_array_reduction(self, stmt: Assign, target: ArrayRef, mask) -> None:
-        """A direct reduction update ``A(e) = A(e) op rest`` (validated by
-        the classifier): contributions are logged for an exec-order fold
-        into the per-processor partials, with the compiled engine's exact
-        evaluation order, costs and mark stream."""
-        name = target.name
-        op = self.redux_refs[target.ref_id]
-        opcode = OP_CODES[op]
-        size = self.sizes[name]
-        idx = self.eval_index(target.index, mask)
+    def _is_redux_load(self, node) -> bool:
+        return (
+            isinstance(node, ArrayRef)
+            and self.redux_refs.get(node.ref_id) is not None
+        )
+
+    def _load_redux(self, ref: ArrayRef, mask) -> np.ndarray:
+        """A reduction-array load in its own update (compiled
+        ``load_redux``): the subscript evaluation, a charged memory read
+        and a REDUX mark.  The running value it would return is never
+        materialized — the commit-time fold reproduces it.  Returns the
+        0-based element vector."""
+        name = ref.name
+        idx = self.eval_index(ref.index, mask)
+        self._charge("mem_reads", mask)
         act = idx[mask]
-        if act.size and (int(act.min()) < 1 or int(act.max()) > size):
+        if act.size and (int(act.min()) < 1 or int(act.max()) > self.sizes[name]):
             self._bail(f"subscript of {name!r} out of bounds")
-        idx0 = idx - 1
+        if name in self.tested:
+            opcode = OP_CODES[self.redux_refs[ref.ref_id]]
+            self._emit(name, idx - 1, mask, KIND_REDUX, opcode)
+        return idx - 1
 
-        # RHS evaluation order: the top-level BinOp charges a flop, then
-        # its operands evaluate left-to-right (the self reference as a
-        # marked reduction load, the other operand as the contribution).
-        expr = stmt.expr
+    def _eval_update(self, expr: BinOp, mask):
+        """Evaluate a direct update ``A(e) op rest`` / ``rest op A(e)``
+        in the compiled engine's order — the BinOp's flop, then its
+        operands left to right — and return ``(self load, self element
+        vector, contribution, taints)``; the contribution is ``rest`` as
+        float64, negated for ``-``."""
         self._charge("flops", mask)
-
-        def is_self(node) -> bool:
-            return (
-                isinstance(node, ArrayRef)
-                and node.name == name
-                and self.redux_refs.get(node.ref_id) is not None
-            )
-
         atoms: tuple = ()
-        rest_val = None
+        load = idx0 = rest_val = None
         for operand in (expr.left, expr.right):
-            if is_self(operand):
-                # load_redux: its own subscript evaluation, a charged
-                # memory read and a REDUX mark; the loaded running value
-                # itself is reproduced by the commit-time fold.
-                self_idx = self.eval_index(operand.index, mask)
-                self._charge("mem_reads", mask)
-                self_act = self_idx[mask]
-                if self_act.size and (
-                    int(self_act.min()) < 1 or int(self_act.max()) > size
-                ):
-                    self._bail(f"subscript of {name!r} out of bounds")
-                if name in self.tested:
-                    self._emit(name, self_idx - 1, mask, KIND_REDUX, opcode)
+            if load is None and self._is_redux_load(operand):
+                load = operand
+                idx0 = self._load_redux(operand, mask)
             else:
                 rest_val = self.eval_expr(operand, mask)
                 atoms = _merge_atoms(atoms, rest_val.atoms)
-        # compile_flushed on the RHS: pending reads report here.
-        self._flush_atoms(atoms, mask)
-
-        self._charge("mem_writes", mask)
         contrib = rest_val.vec
         if contrib.dtype == _I64:
             contrib = contrib.astype(np.float64)
         if expr.op == "-":
             contrib = -contrib
+        return load, idx0, contrib, atoms
+
+    def _log_contribution(self, name, idx0, contrib, mask, opcode) -> None:
+        """The store half of an update: a charged write, the contribution
+        logged for the partial fold at this sequence point, and the
+        store's REDUX mark."""
+        self._charge("mem_writes", mask)
         sel = self._sel_of(mask)
         if sel.size:
             self.redux_logs.setdefault(name, []).append(
@@ -995,6 +1019,68 @@ class _BlockExecutor:
             )
         if name in self.tested:
             self._emit(name, idx0, mask, KIND_REDUX, opcode)
+
+    def _exec_array_reduction(self, stmt: Assign, target: ArrayRef, mask) -> None:
+        """A reduction update (validated by the classifier): either the
+        direct ``A(e) = A(e) op rest`` or the store ``A(e) = t`` of a
+        reduction temporary.  Contributions are logged for an exec-order
+        fold into the per-processor partials, with the compiled engine's
+        exact evaluation order, costs and mark stream."""
+        name = target.name
+        idx = self.eval_index(target.index, mask)
+        act = idx[mask]
+        if act.size and (int(act.min()) < 1 or int(act.max()) > self.sizes[name]):
+            self._bail(f"subscript of {name!r} out of bounds")
+        idx0 = idx - 1
+        if isinstance(stmt.expr, Var):
+            # compile_flushed on the temporary: the scalar read (and its
+            # carried-value guard), pending reads reported here.
+            self.eval_flushed(stmt.expr, mask)
+            temp = self.redux_temps.get(stmt.expr.name)
+            sel = self._sel_of(mask)
+            if (
+                temp is None
+                or temp.array != name
+                or np.any(temp.idx0[sel] != idx0[sel])
+            ):
+                self._bail(
+                    f"reduction temporary {stmt.expr.name!r} carries "
+                    f"another element of {name!r}"
+                )
+            contrib = temp.contrib
+        else:
+            _load, _self_idx0, contrib, atoms = self._eval_update(stmt.expr, mask)
+            # compile_flushed on the RHS: pending reads report here.
+            self._flush_atoms(atoms, mask)
+        self._log_contribution(
+            name, idx0, contrib, mask, OP_CODES[self.redux_refs[target.ref_id]]
+        )
+
+    def _exec_redux_temp(self, stmt: Assign, mask) -> None:
+        """``t = A(e) op rest`` for a classifier-accepted reduction
+        temporary: the load half of the update.  The lanes record the
+        element, the contribution and the assignment's sequence point;
+        ``t`` itself is charged, marked assigned and keeps the
+        contribution's taints, like any scalar assignment."""
+        name = stmt.target.name
+        load, idx0, contrib, atoms = self._eval_update(stmt.expr, mask)
+        temp = self.redux_temps.get(name)
+        if temp is None:
+            temp = _ReduxTemp(load.name, self.redux_refs[load.ref_id], self.R)
+            self.redux_temps[name] = temp
+        seq = self._next_seq()
+        if mask is self._full:
+            temp.idx0 = idx0
+            temp.contrib = contrib
+            temp.seq = np.full(self.R, seq, dtype=_I64)
+        else:
+            temp.idx0 = np.where(mask, idx0, temp.idx0)
+            temp.contrib = np.where(mask, contrib, temp.contrib)
+            temp.seq = np.where(mask, seq, temp.seq)
+        self._set_scalar(
+            name, _Val(temp.contrib, "real", atoms), mask,
+            charge=True, clear_taints=True, log=False,
+        )
 
     def _exec_scalar_reduction(self, stmt: Assign, mask: np.ndarray) -> None:
         """A direct scalar reduction ``s = s op rest`` or ``s = max(s,
@@ -1083,9 +1169,7 @@ class _BlockExecutor:
         var_kind = self.kinds.get(self.loop.var)
         if var_kind is None:
             self._bail(f"undeclared loop variable {self.loop.var!r}")
-        vals = np.asarray(
-            [self.values[int(p)] for p in self.positions], dtype=_I64
-        )
+        vals = np.asarray(self.values, dtype=_I64)[self.positions]
         # run_iteration's uncharged loop-variable set.
         self._set_scalar(
             self.loop.var, _Val(vals, "integer"),
@@ -1112,6 +1196,7 @@ class _BlockExecutor:
                 shadow.commit_batch(batch)
         self._commit_privates()
         self._commit_partials()
+        self._commit_redux_temps()
         self._commit_scalar_reductions()
         self._commit_scalar_finals()
         if not self.need_costs:
@@ -1234,8 +1319,69 @@ class _BlockExecutor:
             touched = np.zeros((self.num_procs, size), dtype=bool)
             touched[procs, elems] = True
             maps = partial.proc_maps()
-            for proc, elem in zip(*np.nonzero(touched)):
-                maps[int(proc)][int(elem)] = (op, float(acc[proc, elem]))
+            t_procs, t_elems = np.nonzero(touched)
+            for proc, elem, value in zip(
+                t_procs.tolist(), t_elems.tolist(),
+                acc[t_procs, t_elems].tolist(),
+            ):
+                maps[proc][elem] = (op, value)
+
+    def _commit_redux_temps(self) -> None:
+        """Each processor's final value of a reduction temporary.
+
+        The compiled engine leaves ``t`` holding the running value of its
+        last assignment: the partial element's value at that load, folded
+        with the lane's contribution.  That prefix is re-folded here, in
+        exec order, from the logged contributions that precede the
+        assignment — a few per processor.
+        """
+        for name, temp in self.redux_temps.items():
+            assigned = np.flatnonzero(temp.seq >= 0)
+            if not assigned.size:
+                continue
+            fold = operator.add if temp.op == "+" else operator.mul
+            # The last assigning lane of each processor, in exec order.
+            procs = self.proc_of[assigned]
+            order = np.lexsort((self.row_rank[assigned], procs))
+            is_last = np.ones(order.size, dtype=bool)
+            is_last[:-1] = procs[order][1:] != procs[order][:-1]
+            lanes = assigned[order][is_last]
+            totals = dict.fromkeys(
+                self.proc_of[lanes].tolist(), REDUCTION_IDENTITY[temp.op]
+            )
+            events = self.redux_logs.get(temp.array)
+            if events:
+                lane_of = np.zeros(self.num_procs, dtype=_I64)
+                lane_of[self.proc_of[lanes]] = lanes
+                has_lane = np.zeros(self.num_procs, dtype=bool)
+                has_lane[self.proc_of[lanes]] = True
+                rows = np.concatenate([sel for sel, _i, _c, _s in events])
+                elems = np.concatenate([i for _s, i, _c, _q in events])
+                contribs = np.concatenate([c for _s, _i, c, _q in events])
+                seqs = np.concatenate(
+                    [np.full(sel.size, seq, dtype=_I64)
+                     for sel, _i, _c, seq in events]
+                )
+                procs = self.proc_of[rows]
+                lane = lane_of[procs]
+                ranks = self.row_rank[rows]
+                before = (
+                    has_lane[procs]
+                    & (elems == temp.idx0[lane])
+                    & (
+                        (ranks < self.row_rank[lane])
+                        | ((rows == lane) & (seqs < temp.seq[lane]))
+                    )
+                )
+                order = np.lexsort((seqs[before], ranks[before]))
+                for p, c in zip(
+                    procs[before][order].tolist(),
+                    contribs[before][order].tolist(),
+                ):
+                    totals[p] = fold(totals[p], c)
+            for lane, contrib in zip(lanes.tolist(), temp.contrib[lanes].tolist()):
+                p = int(self.proc_of[lane])
+                self.proc_envs[p].scalars[name] = float(fold(totals[p], contrib))
 
     def _partial_op(self, name: str) -> str:
         # Every redux ref of one array shares one op family (classifier-
@@ -1311,7 +1457,13 @@ class _BlockExecutor:
         order = np.argsort(self.row_rank, kind="stable")
         positions = self.positions[order].tolist()
         columns = [self.cost[cat][order].tolist() for cat in CATEGORIES]
-        return [
-            (pos, IterationCost(*row))
-            for pos, row in zip(positions, zip(*columns))
-        ]
+        # Lanes share a handful of distinct count rows (one per control
+        # path); the frozen records are built once per row and shared.
+        shared: dict[tuple, IterationCost] = {}
+        pairs = []
+        for pos, row in zip(positions, zip(*columns)):
+            cost = shared.get(row)
+            if cost is None:
+                cost = shared[row] = IterationCost(*row)
+            pairs.append((pos, cost))
+        return pairs

@@ -104,8 +104,9 @@ class EngineRegistry:
         )
 
     def needs_worker_pool(self, name: str, workers: Optional[int]) -> bool:
-        """Whether a run of ``name`` with ``workers`` shards onto thread-pool
-        workers (the strip pipeline builds one pool up front if so).
+        """Whether a run of ``name`` with ``workers`` may shard onto
+        thread-pool workers (the strip pipeline then hands its doalls a
+        pool that is built on the first doall that shards).
 
         Sharding needs an explicit worker count; the planner only picks
         a sharding engine when one was requested (see EnginePlanner).

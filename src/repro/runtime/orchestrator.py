@@ -299,7 +299,8 @@ class LoopRunner:
 
     def _shared_pool(self, config: RunConfig, sim: DoallSimulator, env: Environment):
         """A persistent worker pool from :attr:`pools` (None without a
-        cache, or when the run does not shard its lanes over workers).
+        cache, or when the run cannot shard its lanes over workers),
+        drawn from the cache only when a doall first shards onto it.
 
         The pool is keyed by everything its :class:`ShardSpec` and
         layout depend on, so a cache shared across runners and requests
@@ -309,15 +310,19 @@ class LoopRunner:
 
         if self.pools is None or not needs_worker_pool(config.engine, config.workers):
             return None
-        from repro.runtime.parallel_backend import ShardSpec, ThreadWorkerPool
+        from repro.runtime.parallel_backend import (
+            LazyWorkerPool,
+            ShardSpec,
+            ThreadWorkerPool,
+        )
 
         key = (self._loop_key(), sim.num_procs, config.workers)
-        return self.pools.get(key, lambda: ThreadWorkerPool(
+        return LazyWorkerPool(lambda: self.pools.get(key, lambda: ThreadWorkerPool(
             ShardSpec.from_plan(
                 self.program, self.loop, self.plan, env, sim.num_procs
             ),
             config.workers,
-        ))
+        )))
 
     def _speculation_veto(self, config: RunConfig) -> str | None:
         """The profile store's eager-serial verdict, for planner engines.

@@ -202,6 +202,31 @@ class ThreadWorkerPool:
         self.arena.close()
 
 
+class LazyWorkerPool:
+    """A worker pool built when a doall first shards onto it.
+
+    The strip pipeline and the runner's pool cache hand this to every
+    doall of a worker run.  Whether a doall shards is the engine
+    planner's call, made per doall: ``auto`` plans ``compiled`` for a
+    classifier-rejected loop, and that run never builds the threads and
+    per-worker shadow sets.
+    """
+
+    def __init__(self, build):
+        self._build = build
+        self._pool: ThreadWorkerPool | None = None
+
+    def get(self) -> ThreadWorkerPool:
+        if self._pool is None:
+            self._pool = self._build()
+        return self._pool
+
+    def close(self) -> None:
+        """Close the pool if it was built (the owner's teardown)."""
+        if self._pool is not None:
+            self._pool.close()
+
+
 class WorkerPoolCache:
     """Persistent worker pools kept alive across doalls *and* requests.
 
@@ -271,7 +296,7 @@ def run_parallel_doall(
     schedule: ScheduleKind = ScheduleKind.BLOCK,
     values: list[int] | None = None,
     workers: int | None = None,
-    pool: ThreadWorkerPool | None = None,
+    pool: ThreadWorkerPool | LazyWorkerPool | None = None,
 ) -> DoallRun:
     """Execute the marked doall sharded across thread-pool workers.
 
@@ -286,9 +311,10 @@ def run_parallel_doall(
     compiled inside the worker and surface on the merged run's fallback
     fields.
 
-    ``pool`` reuses a persistent :class:`ThreadWorkerPool` (the strip
-    pipeline passes one); otherwise an ephemeral pool of ``workers``
-    workers is built and torn down around this single doall.
+    ``pool`` reuses a persistent :class:`ThreadWorkerPool`, or builds
+    the one a :class:`LazyWorkerPool` defers (the strip pipeline passes
+    one); otherwise an ephemeral pool of ``workers`` workers is built
+    and torn down around this single doall.
     """
     if values is None:
         bounds_interp = Interpreter(program, env, value_based=False)
@@ -301,6 +327,8 @@ def run_parallel_doall(
     assignment = assign_iterations(len(values), num_procs, exec_schedule)
 
     owned_pool = None
+    if isinstance(pool, LazyWorkerPool):
+        pool = pool.get()
     if pool is None:
         spec = ShardSpec.from_plan(program, loop, plan, env, num_procs)
         owned_pool = pool = ThreadWorkerPool(spec, workers)

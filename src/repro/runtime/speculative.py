@@ -435,13 +435,15 @@ class SpeculationPipeline:
         strips committed their speculative state in order, failed strips
         were rolled back and re-executed serially in place.
 
-        When the engine shards over workers (a registry capability
+        When the engine may shard over workers (a registry capability
         query — see
         :meth:`~repro.runtime.engines.registry.EngineRegistry.needs_worker_pool`)
         one persistent worker pool is reused for every strip: a
         caller-provided ``pool`` if one was passed (kept alive for the
-        caller's next run), else a pool built here and closed on the way
-        out even when a strip aborts or a worker raises.
+        caller's next run), else a pool built here on the first strip
+        that shards (a :class:`~repro.runtime.parallel_backend.LazyWorkerPool`;
+        none is built when every strip runs in-process) and closed on
+        the way out even when a strip aborts or a worker raises.
         """
         from repro.runtime.engines import needs_worker_pool
 
@@ -449,12 +451,19 @@ class SpeculationPipeline:
             return self._run(self.pool)
         owned = None
         if needs_worker_pool(self.engine, self.workers):
-            from repro.runtime.parallel_backend import ShardSpec, ThreadWorkerPool
-
-            spec = ShardSpec.from_plan(
-                self.program, self.loop, self.plan, self.env, self.sim.num_procs
+            from repro.runtime.parallel_backend import (
+                LazyWorkerPool,
+                ShardSpec,
+                ThreadWorkerPool,
             )
-            owned = ThreadWorkerPool(spec, self.workers)
+
+            owned = LazyWorkerPool(lambda: ThreadWorkerPool(
+                ShardSpec.from_plan(
+                    self.program, self.loop, self.plan, self.env,
+                    self.sim.num_procs,
+                ),
+                self.workers,
+            ))
         try:
             return self._run(owned)
         finally:

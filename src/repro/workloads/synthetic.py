@@ -18,6 +18,10 @@
 * :func:`build_synthdoacross` — every iteration depends on the one
   exactly ``distance`` back; fails the LRPD test everywhere but
   pipelines perfectly, the DOACROSS recovery tier's motivating case.
+* :func:`build_reduction_copy` — a reduction through a temporary whose
+  running value is also copied into a second scalar: a valid reduction
+  the whole-block engine rejects, so its runs exercise the fallback to
+  the compiled engine.
 """
 
 from __future__ import annotations
@@ -457,4 +461,46 @@ end
             f"(work={work})"
         ),
         check_arrays=("a",),
+    )
+
+
+def build_reduction_copy(n: int = 80, seed: int = 0) -> Workload:
+    """SPICE's reduction through a temporary, plus a copy of the running
+    value into a second private scalar that nothing reads afterwards.
+
+    Forward substitution still proves ``y`` a ``+`` reduction (the copy
+    is dead, so it is never expanded), but the vectorized classifier
+    accepts a temporary only when the store is its sole reader: this
+    loop is rejected with "reduction-array load outside its own update
+    statement" and runs on the compiled engine.
+    """
+    rng = np.random.default_rng(seed)
+    m = max(2, n // 4)
+    source = f"""
+program reduction_copy
+  integer n, i, k
+  real y({m}), v({n}), t, u
+  integer idx({n})
+  do i = 1, n
+    k = idx(i)
+    t = y(k) + v(i)
+    u = t * 2.0
+    y(k) = t
+  end do
+end
+"""
+    return Workload(
+        name="SYNTH_REDUCTION_COPY",
+        source=source,
+        inputs={
+            "n": n,
+            "idx": rng.integers(1, m + 1, n),
+            "v": rng.normal(size=n),
+            "y": rng.normal(scale=0.1, size=m),
+        },
+        expectation=PaperExpectation(
+            transforms=("reduction",), inspector_extractable=True, test_passes=True
+        ),
+        description="reduction through a temporary whose running value is copied",
+        check_arrays=("y",),
     )

@@ -139,6 +139,18 @@ class TestForwardSubstitution:
         )
         assert report.candidates == []
 
+    def test_value_live_after_loop_rejected(self):
+        # A live-out scalar's final value is observed after the loop: the
+        # last processor's running partial is not the serial value.
+        source = (
+            "program p\n  integer i, n, idx(10)\n  real a(10), t\n"
+            "  do i = 1, n\n    t = a(idx(i)) + 1.0\n    a(idx(i)) = t\n"
+            "  end do\nend\n"
+        )
+        assert analyzed(source)[0].arrays() == {"a"}
+        report, _ = analyzed(source, live_out={"t"})
+        assert report.candidates == []
+
     def test_reduction_inside_inner_loop(self):
         report, _ = analyzed(
             "program p\n  integer i, j, n, m, idx(10)\n  real a(10), v(10)\n"

@@ -210,3 +210,93 @@ def test_speculative_engines_agree(w, r, ridx, eager):
             np.testing.assert_array_equal(
                 envs["walk"].arrays[name], envs[engine].arrays[name]
             )
+
+
+TEMP_N = 20
+TEMP_SIZE = 6
+
+TEMP_TEMPLATE = f"""
+program randtemp
+  integer i, n
+  integer w({TEMP_N}), r({TEMP_N}), k({TEMP_N}), gate({TEMP_N})
+  real a({TEMP_SIZE}), b({TEMP_SIZE}), y({TEMP_SIZE}), v({TEMP_N}), x, t
+  do i = 1, n
+    x = b(r(i)) + v(i)
+    if (gate(i) == 1 and x > {{c}}) then
+      t = y(k(i)) + x * {{c1}}
+    else
+      t = y(k(i)) - v(i) * {{c2}}
+    end if
+    a(w(i)) = x * 0.5
+    y(k(i)) = t
+  end do
+end
+"""
+
+temp_indices = st.lists(
+    st.integers(min_value=1, max_value=TEMP_SIZE),
+    min_size=TEMP_N, max_size=TEMP_N,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    c=constants, c1=constants, c2=constants,
+    w=temp_indices, r=temp_indices, k=temp_indices,
+    gate=st.lists(
+        st.integers(min_value=0, max_value=1), min_size=TEMP_N, max_size=TEMP_N
+    ),
+    eager=st.booleans(),
+)
+def test_reduction_through_temporary_engines_agree(c, c1, c2, w, r, k, gate, eager):
+    """The SPICE shape: ``y`` reduced through the private temporary
+    ``t`` in both arms of an ``if`` on loaded data, over colliding
+    ``k`` (and a privatized ``a`` written at colliding ``w``).  Every
+    registered engine matches the walker on every observable, and
+    ``vectorized`` and ``auto`` commit the block whole."""
+    source = TEMP_TEMPLATE.format(c=repr(c), c1=repr(c1), c2=repr(c2))
+    inputs = {
+        "n": TEMP_N,
+        "w": np.array(w),
+        "r": np.array(r),
+        "k": np.array(k),
+        "gate": np.array(gate),
+        "v": np.linspace(-1.5, 1.5, TEMP_N),
+        "b": np.linspace(-1.0, 1.0, TEMP_SIZE),
+        "y": np.linspace(0.5, -0.5, TEMP_SIZE),
+        "x": 0.0,
+        "t": 0.0,
+    }
+
+    outcomes = {}
+    envs = {}
+    for engine in IN_PROCESS_ENGINES:
+        program = parse(source)
+        plan = build_plan(program)
+        env = Environment(program, inputs)
+        sim = DoallSimulator(fx80().with_procs(4), ScheduleKind.BLOCK)
+        outcomes[engine] = run_speculative(
+            program, plan.loop, env, plan, sim, eager=eager, engine=engine
+        )
+        envs[engine] = env
+
+    assert "y" in plan.reduction_arrays
+    assert outcomes["walk"].result.passed
+    assert outcomes["vectorized"].run.engine_used == "vectorized"
+    assert outcomes["auto"].run.engine_used == "vectorized"
+    walk = outcomes["walk"]
+    for engine in IN_PROCESS_ENGINES:
+        if engine == "walk":
+            continue
+        other = outcomes[engine]
+        assert walk.result == other.result
+        assert walk.times == other.times
+        assert walk.stats == other.stats
+        assert walk.run.iteration_costs == other.run.iteration_costs
+        assert {k: repr(v) for k, v in envs["walk"].scalars.items()} == {
+            k: repr(v) for k, v in envs[engine].scalars.items()
+        }
+        for name in ("a", "y"):
+            np.testing.assert_array_equal(
+                envs["walk"].arrays[name], envs[engine].arrays[name]
+            )

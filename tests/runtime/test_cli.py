@@ -90,15 +90,36 @@ class TestRun:
         assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
 
+@pytest.fixture
+def rejected_spice(monkeypatch):
+    """``run spice`` drives a classifier-rejected loop instead: every
+    paper loop now lowers whole-block, so the fallback lines need a
+    stand-in (a reduction temporary whose running value is copied)."""
+    from repro.workloads import PAPER_LOOPS
+    from repro.workloads.synthetic import build_reduction_copy
+
+    monkeypatch.setitem(PAPER_LOOPS, "SPICE_LOAD_do40", build_reduction_copy)
+
+
 class TestVerboseFallbacks:
-    def test_rejected_loop_prints_fallback_reason(self, capsys):
+    def test_rejected_loop_prints_fallback_reason(self, capsys, rejected_spice):
         assert main(
             ["run", "spice", "--engine", "vectorized", "--verbose", "--procs", "4"]
         ) == 0
         out = capsys.readouterr().out
+        assert "SYNTH_REDUCTION_COPY" in out
         assert "engine fallback" in out
         assert "vectorized -> compiled" in out
         assert "reduction" in out
+
+    def test_spice_commits_its_vectorized_block(self, capsys):
+        assert main(
+            ["run", "spice", "--engine", "auto", "--verbose", "--procs", "4"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "SPICE_LOAD_do40" in out
+        assert "vectorized (classifier accepted" in out
+        assert "engine fallback : none (vectorized block committed)" in out
 
     def test_committed_block_prints_no_fallback(self, capsys):
         assert main(
@@ -107,9 +128,11 @@ class TestVerboseFallbacks:
         out = capsys.readouterr().out
         assert "engine fallback : none (vectorized block committed)" in out
 
-    def test_quiet_run_omits_fallback_lines(self, capsys):
+    def test_quiet_run_omits_fallback_lines(self, capsys, rejected_spice):
         assert main(["run", "spice", "--engine", "vectorized", "--procs", "4"]) == 0
-        assert "engine fallback" not in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "SYNTH_REDUCTION_COPY" in out
+        assert "engine fallback" not in out
 
 
 class TestProfilePath:

@@ -35,7 +35,10 @@ from repro.workloads.dyfesm import build_dyfesm
 from repro.workloads.mdg import build_mdg
 from repro.workloads.ocean import build_ocean
 from repro.workloads.spice import build_spice
-from repro.workloads.synthetic import build_conditional_dead_reads
+from repro.workloads.synthetic import (
+    build_conditional_dead_reads,
+    build_reduction_copy,
+)
 from repro.workloads.track import build_track
 
 from tests.runtime.test_vectorized_engine import (
@@ -228,6 +231,7 @@ class TestPlanner:
             pytest.param(lambda: build_adm(n=150), id="adm"),
             pytest.param(lambda: build_track(n=150), id="track"),
             pytest.param(lambda: build_dyfesm(n=150), id="dyfesm"),
+            pytest.param(lambda: build_spice(n=150), id="spice"),
         ],
     )
     def test_classifier_accepted_loops_pick_vectorized(self, build):
@@ -238,7 +242,7 @@ class TestPlanner:
     @pytest.mark.parametrize(
         "build",
         [
-            pytest.param(lambda: build_spice(n=80), id="spice"),
+            pytest.param(build_reduction_copy, id="reduction_copy"),
             pytest.param(build_conditional_dead_reads, id="conditional_dead_reads"),
         ],
     )
@@ -257,7 +261,7 @@ class TestPlanner:
     def test_rejected_loop_with_workers_picks_compiled(self):
         """Only the whole-block engine shards: a rejected loop runs
         compiled in-process and says the workers went unused."""
-        decision = self._plan(build_spice(n=80), trip_count=80, workers=2)
+        decision = self._plan(build_reduction_copy(), trip_count=80, workers=2)
         assert decision.engine == "compiled"
         assert "rejected" in decision.reason
         assert "2 requested workers were not used" in decision.reason
@@ -274,9 +278,18 @@ class TestAutoEngine:
         assert "classifier accepted" in auto.run.engine_decision
         _assert_outcomes_identical(ref, ref_env, auto, auto_env)
 
-    def test_spice_picks_compiled_bit_identically(self):
+    def test_spice_picks_vectorized_bit_identically(self):
+        """SPICE's reduction through a temporary lowers whole-block."""
         ref, ref_env = _speculative(build_spice(n=80), "compiled")
         auto, auto_env = _speculative(build_spice(n=80), "auto")
+        assert auto.run.engine_used == "vectorized"
+        assert "classifier accepted" in auto.run.engine_decision
+        assert auto.run.fallback_reason is None
+        _assert_outcomes_identical(ref, ref_env, auto, auto_env)
+
+    def test_rejected_loop_picks_compiled_bit_identically(self):
+        ref, ref_env = _speculative(build_reduction_copy(), "compiled")
+        auto, auto_env = _speculative(build_reduction_copy(), "auto")
         assert auto.run.engine_used == "compiled"
         assert "rejected" in auto.run.engine_decision
         # An explicit pick of compiled is a decision, not a degradation.
@@ -372,7 +385,67 @@ class TestAutoEngine:
         assert report.engine_decisions == []
 
     def test_rejected_pick_recorded_on_report(self):
-        report = self._report(lambda: build_spice(n=80), "auto")
+        report = self._report(build_reduction_copy, "auto")
         assert report.engine_used == "compiled"
         assert len(report.engine_decisions) == 1
         assert "rejected" in report.engine_decisions[0][1]
+
+
+class TestWorkerPoolConstruction:
+    """``auto`` with workers builds the thread pool only once a planned
+    engine shards lanes onto it: a classifier-rejected loop runs
+    ``compiled`` in-process and never pays for threads and per-worker
+    shadow sets."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        from repro.runtime import parallel_backend
+
+        pools: list = []
+
+        class CountingPool(parallel_backend.ThreadWorkerPool):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(parallel_backend, "ThreadWorkerPool", CountingPool)
+        return pools
+
+    @staticmethod
+    def _run(build, strategy, *, pools=None, **extra):
+        workload = build()
+        runner = LoopRunner(workload.program(), workload.inputs, pools=pools)
+        return runner.run(
+            strategy,
+            RunConfig(model=fx80().with_procs(4), engine="auto", workers=2, **extra),
+        )
+
+    @pytest.mark.parametrize(
+        "strategy, extra",
+        [(Strategy.SPECULATIVE, {}), (Strategy.STRIPPED, {"strip_size": 20})],
+        ids=["speculative", "stripped"],
+    )
+    def test_rejected_loop_builds_no_pool(self, built, strategy, extra):
+        report = self._run(build_reduction_copy, strategy, **extra)
+        assert report.engine_used == "compiled"
+        assert "workers were not used" in report.engine_decisions[0][1]
+        assert built == []
+
+    def test_rejected_loop_draws_nothing_from_the_pool_cache(self, built):
+        from repro.runtime.parallel_backend import WorkerPoolCache
+
+        with WorkerPoolCache() as cache:
+            report = self._run(
+                build_reduction_copy, Strategy.SPECULATIVE, pools=cache
+            )
+            assert report.engine_used == "compiled"
+            assert (cache.builds, cache.hits, len(cache)) == (0, 0, 0)
+        assert built == []
+
+    def test_sharded_loop_builds_one_pool_for_all_strips(self, built):
+        report = self._run(
+            lambda: build_spice(n=80), Strategy.STRIPPED, strip_size=20
+        )
+        assert report.engine_used == "vectorized"
+        assert len(report.strips) == 4
+        assert len(built) == 1

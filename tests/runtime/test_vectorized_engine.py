@@ -31,7 +31,7 @@ from repro.workloads.dyfesm import build_dyfesm
 from repro.workloads.mdg import build_mdg
 from repro.workloads.ocean import build_ocean
 from repro.workloads.spice import build_spice
-from repro.workloads.synthetic import build_synthdoacross
+from repro.workloads.synthetic import build_reduction_copy, build_synthdoacross
 from repro.workloads.track import build_track
 
 PROCS = 8
@@ -115,6 +115,133 @@ class TestWholeBlockParity:
             np.testing.assert_array_equal(shadow.r, other.r)
             np.testing.assert_array_equal(shadow.np_, other.np_)
             np.testing.assert_array_equal(shadow.nx, other.nx)
+
+
+def _spice_doall(mode, procs, engine):
+    """SPICE's marked doall at ``procs`` processors (lower level than
+    :func:`_speculative`: the run's partials, shadows and per-processor
+    scalars stay inspectable)."""
+    workload = build_spice(n=80, mode=mode)
+    program = parse(workload.source)
+    plan = build_plan(program)
+    before, _after = split_at_loop(program, plan.loop)
+    env = Environment(program, workload.inputs)
+    Interpreter(program, env, value_based=False).exec_block(before)
+    sim = DoallSimulator(fx80().with_procs(procs), ScheduleKind.BLOCK)
+    outcome = run_speculative(program, plan.loop, env, plan, sim, engine=engine)
+    return outcome, env
+
+
+SPICE_CELLS = [
+    pytest.param(mode, procs, id=f"mode{mode}-p{procs}")
+    for mode in (1, 2) for procs in (1, 3, 8)
+]
+
+
+class TestReductionThroughTemporary:
+    """SPICE LOAD do40 reduces ``y`` through the private temporary ``t``
+    in both arms of an ``if``: it commits whole-block, bit-identical to
+    the compiled engine, and leaves the serial oracle's checked arrays."""
+
+    @pytest.mark.parametrize("mode, procs", SPICE_CELLS)
+    def test_doall_bit_identical_to_compiled(self, mode, procs):
+        ref, ref_env = _spice_doall(mode, procs, "compiled")
+        vec, vec_env = _spice_doall(mode, procs, "auto")
+        assert vec.run.engine_used == "vectorized"
+        assert "classifier accepted" in vec.run.engine_decision
+        assert vec.run.fallback_reason is None
+        _assert_outcomes_identical(ref, ref_env, vec, vec_env)
+        for name, partials in ref.run.partials.items():
+            assert partials.proc_maps() == vec.run.partials[name].proc_maps()
+        for name, shadow in ref.run.marker.shadows.items():
+            other = vec.run.marker.shadows[name]
+            assert (shadow.tw, shadow.tm) == (other.tw, other.tm)
+            for field in ("w", "r", "np_", "nx"):
+                np.testing.assert_array_equal(
+                    getattr(shadow, field), getattr(other, field)
+                )
+        # The temporary is dead after the loop, yet each processor's
+        # last value of it matches the compiled engine's too.
+        assert [e.scalars for e in ref.run.proc_envs] == [
+            e.scalars for e in vec.run.proc_envs
+        ]
+        assert any("t" in e.scalars for e in vec.run.proc_envs)
+
+    @pytest.mark.parametrize("strategy", [Strategy.SPECULATIVE, Strategy.STRIPPED])
+    @pytest.mark.parametrize("mode, procs", SPICE_CELLS)
+    def test_auto_commits_vectorized_and_matches_walk_oracle(
+        self, mode, procs, strategy
+    ):
+        model = fx80().with_procs(procs)
+        # 80 iterations in four strips of 20: every strip is above the
+        # whole-block threshold, so every strip commits vectorized.
+        extra = {"strip_size": 20} if strategy is Strategy.STRIPPED else {}
+        reports = {}
+        for engine in ("compiled", "auto"):
+            workload = build_spice(n=80, mode=mode)
+            runner = LoopRunner(workload.program(), workload.inputs)
+            reports[engine] = runner.run(
+                strategy, RunConfig(model=model, engine=engine, **extra)
+            )
+        ref, auto = reports["compiled"], reports["auto"]
+        assert auto.passed
+        assert auto.engine_used == "vectorized"
+        assert auto.fallbacks == []
+        assert auto.engine_decisions
+        assert all(
+            r.startswith("classifier accepted whole-block lowering")
+            for _k, r in auto.engine_decisions
+        )
+        assert ref.test_result == auto.test_result
+        assert ref.times.as_dict() == auto.times.as_dict()
+        assert ref.stats == auto.stats
+        assert ref.env.scalars == auto.env.scalars
+        for name in ref.env.arrays:
+            np.testing.assert_array_equal(
+                ref.env.arrays[name], auto.env.arrays[name], err_msg=name
+            )
+        oracle = run_serial(
+            runner.program, runner.inputs, model, loop=runner.loop,
+            engine="walk",
+        )
+        # The partial merge reassociates the FP sums (1-ULP drift).
+        for name in workload.check_arrays:
+            np.testing.assert_allclose(
+                auto.env.arrays[name], oracle.env.arrays[name],
+                rtol=1e-12, atol=1e-15, err_msg=name,
+            )
+
+    @pytest.mark.parametrize("engine", ["compiled", "auto"])
+    def test_live_out_temporary_matches_serial_oracle(self, engine):
+        """A temporary read after the loop is no reduction (its value
+        would be one processor's running partial): the colliding updates
+        fail the LRPD test and the serial rerun leaves the oracle's
+        state on every engine."""
+        source = (
+            "program p\n  integer i, n, k, idx(40)\n  real y(3), v(40), t, last\n"
+            "  do i = 1, n\n    k = idx(i)\n    t = y(k) + v(i)\n"
+            "    y(k) = t\n  end do\n  last = t\nend\n"
+        )
+        rng = np.random.default_rng(0)
+        inputs = {
+            "n": 40, "idx": rng.integers(1, 4, 40),
+            "v": rng.normal(size=40), "y": np.ones(3),
+        }
+        model = fx80().with_procs(4)
+        report = LoopRunner(parse(source), inputs).run(
+            Strategy.SPECULATIVE, RunConfig(model=model, engine=engine)
+        )
+        oracle = run_serial(parse(source), inputs, model, engine="walk")
+        assert not report.passed
+        assert report.env.scalars["last"] == oracle.env.scalars["last"]
+        np.testing.assert_array_equal(report.env.arrays["y"], oracle.env.arrays["y"])
+
+    def test_worker_sharded_spice_matches_compiled(self):
+        ref, ref_env = _spice_doall(2, 8, "compiled")
+        workload = build_spice(n=80, mode=2)
+        vec, vec_env = _speculative(workload, "vectorized", workers=2)
+        assert vec.run.engine_used == "vectorized"
+        _assert_outcomes_identical(ref, ref_env, vec, vec_env)
 
 
 class TestComposition:
@@ -217,18 +344,19 @@ class TestComposition:
 
 class TestFallback:
     def test_rejected_workload_completes_via_compiled(self):
-        """SPICE's reduction arrays are read outside their updates — the
-        classifier rejects, and the run must complete on the compiled
-        engine with the reject reason recorded."""
-        ref, ref_env = _speculative(build_spice(n=80), "compiled")
-        vec, vec_env = _speculative(build_spice(n=80), "vectorized")
+        """The reduction temporary's running value is copied into a
+        second scalar — the classifier rejects, and the run must
+        complete on the compiled engine with the reject reason
+        recorded."""
+        ref, ref_env = _speculative(build_reduction_copy(), "compiled")
+        vec, vec_env = _speculative(build_reduction_copy(), "vectorized")
         assert vec.run.engine_used == "compiled"
         assert vec.run.fallback_reason is not None
         assert "reduction" in vec.run.fallback_reason
         _assert_outcomes_identical(ref, ref_env, vec, vec_env)
 
     def test_fallbacks_recorded_on_report(self):
-        workload = build_spice(n=80)
+        workload = build_reduction_copy()
         runner = LoopRunner(workload.program(), workload.inputs)
         report = runner.run(
             Strategy.SPECULATIVE,
